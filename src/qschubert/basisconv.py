@@ -1,7 +1,7 @@
 """Change of basis into the Qtilde family.
 
 Two expansions are provided, both solved per graded component by exact
-integer linear algebra (never by assuming any triangularity):
+integer substitution:
 
   expand_in_qtilde   P as an integer combination of Q[I] over partitions
                      with bounded parts (the additive basis).
@@ -9,14 +9,17 @@ integer linear algebra (never by assuming any triangularity):
                      with I strict, the free-module basis over the
                      subring generated by the Q[i, i].
 
-Every solve asserts that the transition matrix is unimodular (integer
-determinant +-1) and that the solution is integral; a violation means a
-basis bug, not bad input, and raises BasisError.
+Each transition matrix is checked, once per component, to be
+unitriangular up to a column permutation: every column's lex-smallest
+e-monomial (its pivot) has coefficient 1, no two columns share a pivot,
+and there are as many columns as rows.  That proves the matrix
+unimodular, so substitution from the smallest pivot up gives the exact
+integer solution.  A failed check means a basis bug, not bad input, and
+raises BasisError.
 """
 
 from functools import cache
 
-from .intlinalg import solve_exact
 from .partitions import enumerate_partitions, partition
 from .qtilde import qtilde, qtilde_pair
 from .sympoly import SymPoly, render_terms
@@ -173,23 +176,54 @@ def module_transition(d: int, n: int):
     return tuple(basis), rows, matrix
 
 
-def _solve_component(basis, rows, matrix, comp, what):
+def _pivot_table(basis, rows, matrix, what):
+    """Columns as (pivot, basis key, rest of the column), by ascending pivot."""
     if len(basis) != len(rows):
         raise BasisError(f"{what}: index sets differ in size ({len(basis)} vs {len(rows)})")
-    rhs = [comp.terms.get(r, 0) for r in rows]
-    try:
-        det, xs = solve_exact([list(row) for row in matrix], rhs)
-    except ValueError as exc:
-        raise BasisError(f"{what}: singular transition matrix") from exc
-    if det not in (1, -1):
-        raise BasisError(f"{what}: transition determinant {det} is not +-1")
+    table = {}
+    for key, column in zip(basis, zip(*matrix), strict=True):
+        col = {r: v for r, v in zip(rows, column, strict=True) if v}
+        if not col:
+            raise BasisError(f"{what}: zero column at {key}")
+        pivot = min(col)
+        lead = col.pop(pivot)
+        if lead != 1:
+            raise BasisError(f"{what}: pivot {pivot} of {key} has coefficient {lead}")
+        if pivot in table:
+            raise BasisError(f"{what}: {key} and {table[pivot][0]} share the pivot {pivot}")
+        table[pivot] = (key, col)
+    return tuple((pivot, key, col) for pivot, (key, col) in sorted(table.items()))
+
+
+@cache
+def _additive_pivots(d: int, max_part=None):
+    return _pivot_table(*additive_transition(d, max_part), f"degree {d}")
+
+
+@cache
+def _module_pivots(d: int, n: int):
+    return _pivot_table(*module_transition(d, n), f"degree {d} over {n} variables")
+
+
+def _substitute(pivots, comp, what):
+    """Solve by eliminating the lex-smallest monomial left, pivot by pivot."""
+    residual = dict(comp.terms)
     out = {}
-    for key, x in zip(basis, xs):
-        if x.denominator != 1:
-            raise BasisError(f"{what}: non-integer coefficient {x} at {key}")
-        if x.numerator:
-            out[key] = x.numerator
+    for pivot, key, col in pivots:
+        c = residual.pop(pivot, 0)
+        if c:
+            out[key] = c
+            for r, v in col.items():
+                residual[r] = residual.get(r, 0) - c * v
+    # columns only add monomials above their pivot, so what is left has none
+    stray = [r for r, v in residual.items() if v]
+    if stray:
+        raise BasisError(f"{what}: monomial {min(stray)} is no column's pivot")
     return out
+
+
+def _solve_component(basis, rows, matrix, comp, what):
+    return _substitute(_pivot_table(basis, rows, matrix, what), comp, what)
 
 
 def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
@@ -212,8 +246,7 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
         if d == 0:
             coeffs[()] = comp.terms[()]
             continue
-        basis, rows, matrix = additive_transition(d, max_part)
-        coeffs.update(_solve_component(basis, rows, matrix, comp, f"degree {d}"))
+        coeffs.update(_substitute(_additive_pivots(d, max_part), comp, f"degree {d}"))
     return QExpansion(coeffs)
 
 
@@ -230,6 +263,6 @@ def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
         if d == 0:
             coeffs[((), ())] = comp.terms[()]
             continue
-        basis, rows, matrix = module_transition(d, n)
-        coeffs.update(_solve_component(basis, rows, matrix, comp, f"degree {d} over {n} variables"))
+        what = f"degree {d} over {n} variables"
+        coeffs.update(_substitute(_module_pivots(d, n), comp, what))
     return ModuleExpansion(coeffs)

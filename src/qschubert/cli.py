@@ -24,7 +24,25 @@ from .exprio import ExprError, elaborate, in_qtilde_basis, parse
 from .partitions import parse_partition
 from .qtilde import qtilde, schur_q
 from .schubert import LGRing, betti, multiply, omega, pair
-from .thomtables import builtin_records, verify_record
+from .thomtables import builtin_records, positivity_check, verify_record
+
+
+def _emit(*lines):
+    """Print each line, JSON-encoding dicts, with exact integers of any size.
+
+    The int->str digit limit (Python 3.11+, some 3.10 patch releases) is
+    lifted while rendering and restored afterwards.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit:
+        old = sys.get_int_max_str_digits()
+        set_limit(0)
+    try:
+        for line in lines:
+            print(json.dumps(line) if isinstance(line, dict) else line)
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 def _poly_json(p) -> list:
@@ -32,49 +50,39 @@ def _poly_json(p) -> list:
             for k in sorted(p.terms, key=lambda k: (-sum(k), k))]
 
 
-def _cmd_qtilde(args) -> int:
-    parts = parse_partition(args.partition)
-    p = qtilde(parts)
-    if args.json:
-        print(json.dumps({"partition": list(parts), "terms": _poly_json(p)}))
-    else:
-        print(p)
-    return 0
-
-
-def _cmd_schur_q(args) -> int:
-    parts = parse_partition(args.partition)
-    p = schur_q(parts)
-    if args.json:
-        print(json.dumps({"partition": list(parts), "terms": _poly_json(p)}))
-    else:
-        print(p)
-    return 0
+def _poly_command(build):
+    """Handler printing build(I), a polynomial in the generators ci."""
+    def handler(args) -> int:
+        parts = parse_partition(args.partition)
+        p = build(parts)
+        if args.json:
+            _emit({"partition": list(parts), "terms": _poly_json(p)})
+        else:
+            _emit(p)
+        return 0
+    return handler
 
 
 def _cmd_expand(args) -> int:
     texp = in_qtilde_basis(elaborate(parse(args.expr)), args.max_part)
-    negatives = sorted((k for k, c in texp.coeffs.items() if c < 0),
-                       key=lambda k: (k[1], -sum(k[0]), k[0]))
+    nonnegative, negatives = positivity_check(texp)
     if args.json:
-        print(json.dumps({
+        _emit({
             "expression": args.expr,
             "max_part": args.max_part,
             "terms": texp.json_obj(),
             "positivity": {
-                "nonnegative": not negatives,
+                "nonnegative": nonnegative,
                 "violators": [{"partition": list(i), "t_power": j}
                               for i, j in negatives],
             },
-        }))
+        })
+    elif nonnegative:
+        _emit(texp, "positivity: nonnegative")
     else:
-        print(texp)
-        if negatives:
-            where = ", ".join(f"t^{j}*{qmono(i)}" if j else qmono(i)
-                              for i, j in negatives)
-            print(f"positivity: negative coefficients at {where}")
-        else:
-            print("positivity: nonnegative")
+        where = ", ".join(f"t^{j}*{qmono(i)}" if j else qmono(i)
+                          for i, j in negatives)
+        _emit(texp, f"positivity: negative coefficients at {where}")
     return 0
 
 
@@ -83,9 +91,9 @@ def _cmd_mul(args) -> int:
     product = multiply(omega(parse_partition(args.i), ring),
                        omega(parse_partition(args.j), ring))
     if args.json:
-        print(json.dumps(product.json_obj()))
+        _emit(product.json_obj())
     else:
-        print(product)
+        _emit(product)
     return 0
 
 
@@ -94,18 +102,18 @@ def _cmd_pair(args) -> int:
     i, j = parse_partition(args.i), parse_partition(args.j)
     value = pair(i, j, ring)
     if args.json:
-        print(json.dumps({"n": args.n, "i": list(i), "j": list(j), "value": value}))
+        _emit({"n": args.n, "i": list(i), "j": list(j), "value": value})
     else:
-        print(value)
+        _emit(value)
     return 0
 
 
 def _cmd_betti(args) -> int:
     ranks = betti(LGRing(args.n))
     if args.json:
-        print(json.dumps({"n": args.n, "betti": list(ranks)}))
+        _emit({"n": args.n, "betti": list(ranks)})
     else:
-        print(",".join(map(str, ranks)))
+        _emit(",".join(map(str, ranks)))
     return 0
 
 
@@ -116,17 +124,15 @@ def _cmd_verify_tables(args) -> int:
     reports = [verify_record(r) for r in records]
     passed = sum(1 for r in reports if r.passed)
     if args.json:
-        print(json.dumps({
+        _emit({
             "records": [r.json_obj() for r in reports],
             "passed": passed,
             "total": len(reports),
             "all_pass": passed == len(reports),
-        }))
+        })
     else:
-        for report in reports:
-            for line in report.lines():
-                print(line)
-        print(f"{passed}/{len(reports)} records pass")
+        _emit(*(line for report in reports for line in report.lines()),
+              f"{passed}/{len(reports)} records pass")
     return 0 if passed == len(reports) else 1
 
 
@@ -143,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = add("qtilde", _cmd_qtilde, "print Q[I] in the generators ci")
+    p = add("qtilde", _poly_command(qtilde), "print Q[I] in the generators ci")
     p.add_argument("partition", help="comma-separated parts, e.g. '2,1' ('[]' for empty)")
 
-    p = add("schur-q", _cmd_schur_q, "print the Schur Q-function of I")
+    p = add("schur-q", _poly_command(schur_q), "print the Schur Q-function of I")
     p.add_argument("partition", help="comma-separated parts")
 
     p = add("expand", _cmd_expand, "expand an expression in the Q basis")

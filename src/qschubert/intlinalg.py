@@ -1,25 +1,19 @@
-"""Exact linear algebra over the integers.
+"""Exact determinants over the integers.
 
 Fraction-free (Bareiss) elimination keeps all intermediate entries
 integral, so determinants of integer matrices come out exact with no
-rounding and no coefficient blowup beyond what minors force.  Solving
-finishes with rational back-substitution; callers that expect integer
-solutions check denominators themselves.
+rounding and no coefficient blowup beyond what minors force.  The basis
+solves in basisconv do not use it: they check their transition matrices
+unitriangular and substitute.  It stays as an independent
+unimodularity oracle for those matrices.
 """
-
-from fractions import Fraction
-
-
-def _square_copy(matrix):
-    m = [list(row) for row in matrix]
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
-    return m
 
 
 def bareiss_det(matrix) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
-    m = _square_copy(matrix)
+    m = [list(row) for row in matrix]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
     h = len(m)
     if h == 0:
         return 1
@@ -41,41 +35,3 @@ def bareiss_det(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[h - 1][h - 1]
-
-
-def solve_exact(matrix, rhs):
-    """Solve M x = rhs exactly for a square integer matrix M.
-
-    Returns (det, xs) with det the integer determinant and xs the unique
-    rational solution as Fractions.  Raises ValueError when M is singular.
-    """
-    h = len(matrix)
-    a = _square_copy(matrix)
-    if len(rhs) != h:
-        raise ValueError("right-hand side length mismatch")
-    for i in range(h):
-        a[i].append(rhs[i])
-    sign = 1
-    prev = 1
-    for k in range(h):
-        if a[k][k] == 0:
-            for r in range(k + 1, h):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                raise ValueError("singular matrix")
-        for i in range(k + 1, h):
-            for j in range(k + 1, h + 1):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    det = sign * a[h - 1][h - 1] if h else 1
-    xs = [Fraction(0)] * h
-    for k in range(h - 1, -1, -1):
-        s = Fraction(a[k][h])
-        for j in range(k + 1, h):
-            s -= a[k][j] * xs[j]
-        xs[k] = s / a[k][k]
-    return det, xs

@@ -7,6 +7,8 @@ from qschubert.basisconv import (
     BasisError,
     ModuleExpansion,
     QExpansion,
+    _additive_pivots,
+    _module_pivots,
     _solve_component,
     additive_transition,
     expand_in_qtilde,
@@ -100,6 +102,12 @@ def test_module_expand_round_trips():
         p = rand_sympoly(rng, 6, n, 3)
         back = module_expand(p, n).to_sympoly().truncate_parts(n)
         assert back == p
+    # up to the top degree n(n+1)/2 of LG(n), for n up to 6
+    for n in range(4, 7):
+        for _ in range(8):
+            p = rand_sympoly(rng, n * (n + 1) // 2, n, 4)
+            back = module_expand(p, n).to_sympoly().truncate_parts(n)
+            assert back == p
 
 
 def test_module_expand_truncates_first():
@@ -126,6 +134,34 @@ def test_solve_component_raises_on_rigged_systems():
         _solve_component(((1,),), ((1,),), ((2,),), comp, "rigged")
     with pytest.raises(BasisError):
         _solve_component(((1,), (2,)), ((1,),), ((1,),), comp, "rigged")
+
+
+def test_solve_component_raises_on_non_unitriangular_systems():
+    comp = SymPoly({(1, 1): 1})
+    keys = ((1, 1), (2,))
+    # unimodular, but both columns have their lex-smallest monomial at (1,1)
+    assert bareiss_det([[1, 1], [1, 0]]) == -1
+    with pytest.raises(BasisError, match="share the pivot"):
+        _solve_component(keys, keys, ((1, 1), (1, 0)), comp, "rigged")
+    with pytest.raises(BasisError, match="zero column"):
+        _solve_component(keys, keys, ((1, 0), (0, 0)), comp, "rigged")
+    with pytest.raises(BasisError, match="coefficient -1"):
+        _solve_component(keys, keys, ((-1, 0), (0, 1)), comp, "rigged")
+    assert _solve_component(keys, keys, ((1, 0), (2, 1)), comp, "rigged") == {(1, 1): 1, (2,): -2}
+    with pytest.raises(BasisError, match="no column's pivot"):
+        _solve_component(keys, keys, ((1, 0), (0, 1)), SymPoly({(1, 1): 1, (3,): 2}), "rigged")
+
+
+def test_transition_pivots_are_the_column_keys():
+    # the lex-smallest e-monomial of Q[I] is e_I; of Q[I] * prod Q[m, m]
+    # it is e_K with K = I, mu, mu merged
+    for d in range(1, 15):
+        for pivot, key, _ in _additive_pivots(d, None):
+            assert pivot == key
+    for n in range(1, 7):
+        for d in range(1, n * (n + 1) // 2 + 1):
+            for pivot, (i, mu), _ in _module_pivots(d, n):
+                assert pivot == tuple(sorted(i + mu + mu, reverse=True))
 
 
 def test_qexpansion_type():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from qschubert.cli import main
 
@@ -54,6 +55,24 @@ def test_expand_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "expand", "c3", "--max-part", "2")
     assert code == 2 and "not representable" in err
+
+
+def test_expand_renders_integers_of_any_size(capsys):
+    # 2^99999 has 30103 digits, past the interpreter's default int->str limit
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        digits = str(2 ** 99999)
+    finally:
+        set_limit(limit)
+    code, out, err = run(capsys, "expand", "2^99999")
+    assert (code, out, err) == (0, f"{digits}*Q[]\npositivity: nonnegative\n", "")
+    code, out, err = run(capsys, "expand", "2^99999", "--json")
+    assert (code, err) == (0, "")
+    assert f'"coefficient": {digits}}}' in out
+    assert get_limit() == limit
 
 
 def test_mul_command(capsys):

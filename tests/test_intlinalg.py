@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from helpers import fraction_det
-from qschubert.intlinalg import bareiss_det, solve_exact
+from qschubert.intlinalg import bareiss_det
 
 
 def test_known_determinants():
@@ -32,31 +31,3 @@ def test_det_of_singular_matrix():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         bareiss_det([[1, 2], [3, 4], [5, 6]])
-    with pytest.raises(ValueError):
-        solve_exact([[1, 2]], [1])
-
-
-def test_solve_exact_on_random_systems():
-    rng = random.Random(9)
-    solved = 0
-    while solved < 60:
-        h = rng.randint(1, 6)
-        m = [[rng.randint(-6, 6) for _ in range(h)] for _ in range(h)]
-        if fraction_det(m) == 0:
-            continue
-        rhs = [rng.randint(-9, 9) for _ in range(h)]
-        det, xs = solve_exact(m, rhs)
-        assert det == fraction_det(m)
-        for i in range(h):
-            assert sum(Fraction(m[i][j]) * xs[j] for j in range(h)) == rhs[i]
-        solved += 1
-
-
-def test_solve_exact_singular_raises():
-    with pytest.raises(ValueError):
-        solve_exact([[1, 1], [1, 1]], [1, 2])
-
-
-def test_solve_exact_rhs_length():
-    with pytest.raises(ValueError):
-        solve_exact([[1]], [1, 2])

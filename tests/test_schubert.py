@@ -78,6 +78,9 @@ def test_multiply_examples():
     assert multiply(a, unit) == a
     with pytest.raises(ValueError):
         multiply(omega((1,), LGRing(2)), omega((1,), LGRing(3)))
+    # a product landing in the top degree 28 of LG(7)
+    ring = LGRing(7)
+    assert multiply(omega((7, 5, 3, 1), ring), omega((6, 4, 2), ring)) == omega(ring.top, ring)
 
 
 def test_multiply_is_associative_and_commutative():
@@ -110,7 +113,7 @@ def test_pair_examples():
 
 
 def test_duality_pairing_table():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 6):
         ring = LGRing(n)
         dim = ring.dim
         for d in range(dim + 1):
