@@ -22,7 +22,7 @@ from functools import cache
 
 from .partitions import enumerate_partitions, partition
 from .qtilde import qtilde, qtilde_pair
-from .sympoly import SymPoly, render_terms
+from .sympoly import Combination, SymPoly
 
 
 class BasisError(RuntimeError):
@@ -33,97 +33,69 @@ def qmono(key):
     return f"Q[{','.join(map(str, key))}]"
 
 
-class QExpansion:
+class QExpansion(Combination):
     """Integer combination of Q[I], keyed by partition."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            k = partition(key)
-            if c:
-                clean[k] = clean.get(k, 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, QExpansion):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
-        return QExpansion(coeffs)
-
-    def __rmul__(self, scalar: int):
-        return QExpansion({k: scalar * v for k, v in self.coeffs.items()})
+    _mono = staticmethod(qmono)
 
     def to_sympoly(self) -> SymPoly:
-        total = SymPoly.zero()
-        for key, c in self.coeffs.items():
-            total = total + qtilde(key) * c
-        return total
+        return self.lift(qtilde)
 
     def json_obj(self) -> list:
         return [
             {"partition": list(k), "coefficient": self.coeffs[k]}
-            for k in sorted(self.coeffs, key=lambda k: (-sum(k), k))
+            for k in sorted(self.coeffs, key=self._order)
         ]
 
-    def __str__(self):
-        return render_terms(self.coeffs, qmono)
 
-    def __repr__(self):
-        return f"QExpansion({self})"
+def _module_element(key):
+    """The basis element (prod_k Q[m_k,m_k]) * Q[I] of the key (I, mu)."""
+    i, mu = key
+    q = qtilde(i)
+    for m in mu:
+        q = q * qtilde_pair(m, m)
+    return q
 
 
-class ModuleExpansion:
+def _module_mono(key):
+    i, mu = key
+    return "*".join([qmono((m, m)) for m in mu] + [qmono(i)])
+
+
+class ModuleExpansion(Combination):
     """Combination of basis elements (prod_k Q[m_k,m_k]) * Q[I].
 
     Keys are pairs (I, mu) with I strict; the pair of weights satisfies
     |I| + 2|mu| = degree of the term.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        for (i, mu), c in (coeffs or {}).items():
-            i, mu = partition(i), partition(mu)
-            if len(set(i)) != len(i):
-                raise ValueError(f"module basis index must be strict, got {i}")
-            if c:
-                clean[(i, mu)] = clean.get((i, mu), 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
+    _mono = staticmethod(_module_mono)
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    @staticmethod
+    def _key(key):
+        i, mu = key
+        i, mu = partition(i), partition(mu)
+        if len(set(i)) != len(i):
+            raise ValueError(f"module basis index must be strict, got {i}")
+        return i, mu
 
-    def __eq__(self, other):
-        if isinstance(other, ModuleExpansion):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+    @staticmethod
+    def _order(key):
+        return key[1], key[0]
 
     def ring_part(self) -> QExpansion:
         """The mu = () coefficients: what survives modulo the Q[i,i] ideal."""
         return QExpansion({i: c for (i, mu), c in self.coeffs.items() if not mu})
 
     def to_sympoly(self) -> SymPoly:
-        total = SymPoly.zero()
-        for (i, mu), c in self.coeffs.items():
-            term = qtilde(i) * c
-            for m in mu:
-                term = term * qtilde_pair(m, m)
-            total = total + term
-        return total
+        return self.lift(_module_element)
 
     def __repr__(self):
-        keys = sorted(self.coeffs, key=lambda k: (k[1], k[0]))
+        keys = sorted(self.coeffs, key=self._order)
         body = ", ".join(f"{k}: {self.coeffs[k]}" for k in keys)
         return f"ModuleExpansion({{{body}}})"
 
@@ -166,12 +138,7 @@ def module_transition(d: int, n: int):
             for mu in enumerate_partitions((d - w) // 2, max_part=n):
                 basis.append((i, mu))
     rows = tuple(enumerate_partitions(d, max_part=n))
-    cols = []
-    for i, mu in basis:
-        q = qtilde(i)
-        for m in mu:
-            q = q * qtilde_pair(m, m)
-        cols.append(q.truncate_parts(n))
+    cols = [_module_element(key).truncate_parts(n) for key in basis]
     matrix = tuple(tuple(q.terms.get(r, 0) for q in cols) for r in rows)
     return tuple(basis), rows, matrix
 

@@ -9,9 +9,9 @@ basisconv: the component with trivial module part is the reduction.
 """
 
 from .basisconv import module_expand
-from .partitions import complement, enumerate_partitions, is_strict, partition
+from .partitions import complement, is_strict, partition
 from .qtilde import qtilde
-from .sympoly import SymPoly, render_terms
+from .sympoly import Combination, SymPoly
 
 
 class LGRing:
@@ -47,48 +47,48 @@ def _smono(key):
     return f"S[{','.join(map(str, key))}]"
 
 
-class SchubertClass:
+class SchubertClass(Combination):
     """Element of H*(LG(n)) in the Schubert basis.
 
     Coefficients are keyed by strict partitions with parts <= n; a key's
     weight is the codimension of that component.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring",)
+
+    _mono = staticmethod(_smono)
 
     def __init__(self, ring: LGRing, coeffs=None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            k = partition(key)
-            if not is_strict(k):
-                raise ValueError(f"Schubert index must be strict, got {k}")
-            if k and k[0] > ring.n:
-                raise ValueError(f"part {k[0]} exceeds n = {ring.n} in {k}")
-            if c:
-                clean[k] = clean.get(k, 0) + c
         self.ring = ring
-        self.coeffs = {k: v for k, v in clean.items() if v}
+        super().__init__(coeffs)
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _key(self, key):
+        k = partition(key)
+        if not is_strict(k):
+            raise ValueError(f"Schubert index must be strict, got {k}")
+        if k and k[0] > self.ring.n:
+            raise ValueError(f"part {k[0]} exceeds n = {self.ring.n} in {k}")
+        return k
+
+    @staticmethod
+    def _order(key):
+        # classes list by ascending codimension, unlike raw polynomials
+        return sum(key), key
+
+    def _like(self, coeffs):
+        return SchubertClass(self.ring, coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, SchubertClass):
-            return self.ring == other.ring and self.coeffs == other.coeffs
         if isinstance(other, int):
             return self.coeffs == ({(): other} if other else {})
-        return NotImplemented
+        if isinstance(other, SchubertClass) and self.ring != other.ring:
+            return False
+        return super().__eq__(other)
 
     def __add__(self, other):
         if not isinstance(other, SchubertClass) or self.ring != other.ring:
             raise ValueError("can only add classes in the same ring")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
-        return SchubertClass(self.ring, coeffs)
-
-    def __rmul__(self, scalar: int):
-        return SchubertClass(self.ring, {k: scalar * v for k, v in self.coeffs.items()})
+        return super().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -97,23 +97,16 @@ class SchubertClass:
 
     def lift(self) -> SymPoly:
         """A polynomial representative: sum of coeff * qtilde(I)."""
-        total = SymPoly.zero()
-        for key, c in self.coeffs.items():
-            total = total + qtilde(key) * c
-        return total
+        return super().lift(qtilde)
 
     def json_obj(self) -> dict:
         return {
             "n": self.ring.n,
             "terms": [
                 {"partition": list(k), "coefficient": self.coeffs[k]}
-                for k in sorted(self.coeffs, key=lambda k: (sum(k), k))
+                for k in sorted(self.coeffs, key=self._order)
             ],
         }
-
-    def __str__(self):
-        # classes list by ascending codimension, unlike raw polynomials
-        return render_terms(self.coeffs, _smono, sort_key=lambda k: (sum(k), k))
 
     def __repr__(self):
         return f"SchubertClass(n={self.ring.n}, {self})"
@@ -148,21 +141,19 @@ def integrate(a: SchubertClass) -> int:
 
 def pair(i_parts, j_parts, ring: LGRing) -> int:
     """Integral of S[I]*S[J]; 1 exactly when J complements I in {1..n}."""
-    i, j = partition(i_parts), partition(j_parts)
-    for parts in (i, j):
-        if not is_strict(parts):
-            raise ValueError(f"pairing needs strict partitions, got {parts}")
-        if parts and parts[0] > ring.n:
-            raise ValueError(f"part {parts[0]} exceeds n = {ring.n}")
-    return integrate(multiply(omega(i, ring), omega(j, ring)))
+    return integrate(multiply(omega(i_parts, ring), omega(j_parts, ring)))
 
 
 def betti(ring: LGRing) -> tuple:
-    """Ranks of the cohomology groups in codimensions 0..dim."""
-    return tuple(
-        len(enumerate_partitions(d, max_part=ring.n, strict=True))
-        for d in range(ring.dim + 1)
-    )
+    """Ranks of the cohomology groups in codimensions 0..dim.
+
+    These are the coefficients of prod_{i=1..n} (1 + q^i): a strict
+    partition with parts <= n is a subset of {1..n}, weighted by its sum.
+    """
+    ranks = [1]
+    for i in range(1, ring.n + 1):
+        ranks = [a + b for a, b in zip(ranks + [0] * i, [0] * i + ranks)]
+    return tuple(ranks)
 
 
 def dual(parts, ring: LGRing) -> tuple:

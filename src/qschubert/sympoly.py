@@ -15,6 +15,8 @@ overflow.
 from functools import cache
 from itertools import combinations, groupby
 
+from .partitions import partition
+
 
 def _merge(key1, key2):
     # product of monomials: multiset union, kept sorted descending
@@ -180,16 +182,17 @@ def _monomial_str(key):
     return "*".join(factors)
 
 
-def render_terms(terms, monomial_str, sort_key=None) -> str:
-    """Canonical rendering shared by all term maps keyed by partitions.
+def _by_degree(key):
+    """Degree descending, then ascending parts (descending lex on exponents)."""
+    return (-sum(key), key)
 
-    By default terms are ordered by degree descending, then ascending on
-    the part tuple (descending lexicographic on exponent vectors).
-    """
+
+def render_terms(terms, monomial_str, sort_key=_by_degree) -> str:
+    """Canonical rendering shared by all term maps keyed by partitions."""
     if not terms:
         return "0"
     pieces = []
-    for key in sorted(terms, key=sort_key or (lambda k: (-sum(k), k))):
+    for key in sorted(terms, key=sort_key):
         coeff = terms[key]
         mono = monomial_str(key)
         mag = abs(coeff)
@@ -204,6 +207,62 @@ def render_terms(terms, monomial_str, sort_key=None) -> str:
         else:
             pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(pieces)
+
+
+class Combination:
+    """Sparse integer combination of basis elements, keyed by their index.
+
+    Subclasses set ``_key`` (check and canonicalize one key), ``_order``
+    and ``_mono`` (rendering), and ``_like`` if they carry more state.
+    """
+
+    __slots__ = ("coeffs",)
+
+    _key = staticmethod(partition)
+    _order = staticmethod(_by_degree)
+
+    def __init__(self, coeffs=None):
+        clean = {}
+        for key, c in (coeffs or {}).items():
+            k = self._key(key)
+            if c:
+                clean[k] = clean.get(k, 0) + c
+        self.coeffs = {k: v for k, v in clean.items() if v}
+
+    def _like(self, coeffs):
+        return type(self)(coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        coeffs = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + v
+        return self._like(coeffs)
+
+    def __rmul__(self, scalar: int):
+        return self._like({k: scalar * v for k, v in self.coeffs.items()})
+
+    def lift(self, element) -> SymPoly:
+        """The polynomial sum of coeff * element(key)."""
+        total = SymPoly.zero()
+        for key, c in self.coeffs.items():
+            total = total + element(key) * c
+        return total
+
+    def __str__(self):
+        return render_terms(self.coeffs, self._mono, self._order)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 class XPoly:

@@ -17,49 +17,7 @@ from dataclasses import dataclass, field
 from .basisconv import QExpansion, qmono
 from .partitions import is_strict, partition
 from .schubert import LGRing, SchubertClass
-from .sympoly import SymPoly, render_terms
-
-
-class TExpansion:
-    """Integer combination of Q[I]*t^j terms, keyed by (I, j)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for (i, j), c in (coeffs or {}).items():
-            i = partition(i)
-            if not isinstance(j, int) or j < 0:
-                raise ValueError(f"t-power must be a nonnegative integer, got {j!r}")
-            if c:
-                clean[(i, j)] = clean.get((i, j), 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, TExpansion):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def t_part(self, j: int) -> QExpansion:
-        return QExpansion({i: c for (i, p), c in self.coeffs.items() if p == j})
-
-    def t_powers(self) -> tuple:
-        return tuple(sorted({j for (_, j) in self.coeffs}))
-
-    def json_obj(self) -> list:
-        return [
-            {"partition": list(i), "t_power": j, "coefficient": self.coeffs[(i, j)]}
-            for (i, j) in sorted(self.coeffs, key=_torder)
-        ]
-
-    def __str__(self):
-        return render_terms(self.coeffs, _tmono, sort_key=_torder)
-
-    def __repr__(self):
-        return f"TExpansion({self})"
+from .sympoly import Combination, SymPoly
 
 
 def _torder(key):
@@ -76,6 +34,34 @@ def _tmono(key):
         factors.append(f"t^{j}")
     factors.append(qmono(i))
     return "*".join(factors)
+
+
+class TExpansion(Combination):
+    """Integer combination of Q[I]*t^j terms, keyed by (I, j)."""
+
+    __slots__ = ()
+
+    _order = staticmethod(_torder)
+    _mono = staticmethod(_tmono)
+
+    @staticmethod
+    def _key(key):
+        i, j = key
+        if not isinstance(j, int) or j < 0:
+            raise ValueError(f"t-power must be a nonnegative integer, got {j!r}")
+        return partition(i), j
+
+    def t_part(self, j: int) -> QExpansion:
+        return QExpansion({i: c for (i, p), c in self.coeffs.items() if p == j})
+
+    def t_powers(self) -> tuple:
+        return tuple(sorted({j for (_, j) in self.coeffs}))
+
+    def json_obj(self) -> list:
+        return [
+            {"partition": list(i), "t_power": j, "coefficient": self.coeffs[(i, j)]}
+            for (i, j) in sorted(self.coeffs, key=_torder)
+        ]
 
 
 @dataclass
@@ -201,33 +187,27 @@ def positivity_check(e):
     Accepts a plain QExpansion or a TExpansion; violators keep the key
     shape of the input.
     """
-    order = _torder if isinstance(e, TExpansion) else lambda k: (-sum(k), k)
-    violators = sorted((k for k, c in e.coeffs.items() if c < 0), key=order)
+    violators = sorted((k for k, c in e.coeffs.items() if c < 0), key=e._order)
     return not violators, violators
 
 
 def verify_record(r: ThomRecord) -> RecordReport:
     """Structural checks on one record; failures are reported, not raised."""
-    neg = [k for k, c in r.legendre.coeffs.items() if c < 0]
-    neg += [(k, 0) for k, c in r.lagrange.coeffs.items()
-            if c < 0 and (k, 0) not in r.legendre.coeffs]
-    nonneg = CheckResult("nonnegative", not neg, sorted(neg, key=_torder))
+    # Lagrange keys as t^0 terms; where both parts have a key, the
+    # Legendre value is the one checked
+    terms = {(k, 0): c for k, c in r.lagrange.coeffs.items()} | r.legendre.coeffs
+    keys = sorted(terms, key=_torder)
 
-    bad_weight = [k for k in r.legendre.coeffs if sum(k[0]) + k[1] != r.codim]
-    bad_weight += [(k, 0) for k in r.lagrange.coeffs if sum(k) != r.codim
-                   and (k, 0) not in r.legendre.coeffs]
-    homog = CheckResult("homogeneous", not bad_weight, sorted(bad_weight, key=_torder))
+    def check(name, bad):
+        return CheckResult(name, not bad, bad)
 
-    restricted = r.legendre.t_part(0)
-    match = CheckResult("lagrange_matches", restricted == r.lagrange,
-                        [] if restricted == r.lagrange else ["t^0 part differs"])
-
-    non_strict = [k for k in r.legendre.coeffs if not is_strict(k[0])]
-    non_strict += [(k, 0) for k in r.lagrange.coeffs if not is_strict(k)
-                   and (k, 0) not in r.legendre.coeffs]
-    strict = CheckResult("strict_keys", not non_strict, sorted(non_strict, key=_torder))
-
-    return RecordReport(r.name, r.codim, [nonneg, homog, match, strict])
+    return RecordReport(r.name, r.codim, [
+        check("nonnegative", [k for k in keys if terms[k] < 0]),
+        check("homogeneous", [k for k in keys if sum(k[0]) + k[1] != r.codim]),
+        check("lagrange_matches",
+              [] if r.legendre.t_part(0) == r.lagrange else ["t^0 part differs"]),
+        check("strict_keys", [k for k in keys if not is_strict(k[0])]),
+    ])
 
 
 def to_chern(e: QExpansion) -> SymPoly:

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite.
 
 Everything here is implemented independently of the package internals:
-determinants use rational Gaussian elimination, Pfaffians use explicit
+determinants use rational Gaussian elimination or fraction-free
+(Bareiss) elimination, Pfaffians use explicit
 perfect-matching sums with permutation-parity signs, and symmetric
 functions are expanded in raw exponent dictionaries with local
 arithmetic helpers.  Agreement between these oracles and the package is
@@ -32,6 +33,38 @@ def fraction_det(matrix):
                 for j in range(k, h):
                     a[r][j] -= f * a[k][j]
     return det
+
+
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    All intermediate entries stay integral, so the unimodularity of the
+    package's transition matrices is checked without any Fraction.
+    """
+    m = [list(row) for row in matrix]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    h = len(m)
+    if h == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(h - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, h):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, h):
+            for j in range(k + 1, h):
+                # exact division is guaranteed by the Bareiss identity
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[h - 1][h - 1]
 
 
 def matchings(idx):

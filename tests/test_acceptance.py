@@ -9,6 +9,7 @@ import json
 import random
 
 from helpers import (
+    bareiss_det,
     elem_x_squares,
     fraction_det,
     oracle_qtilde,
@@ -19,7 +20,6 @@ from helpers import (
 from qschubert.basisconv import additive_transition, expand_in_qtilde, module_expand, module_transition
 from qschubert.cli import main
 from qschubert.exprio import ExprError, elaborate, in_qtilde_basis, parse
-from qschubert.intlinalg import bareiss_det
 from qschubert.partitions import complement, enumerate_partitions
 from qschubert.qtilde import SkewMatrix, pfaffian, qtilde, qtilde_pair, schur_q
 from qschubert.schubert import LGRing, betti, integrate, multiply, omega, pair, reduce

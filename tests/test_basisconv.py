@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import rand_sympoly
+from helpers import bareiss_det, rand_sympoly
 from qschubert.basisconv import (
     BasisError,
     ModuleExpansion,
@@ -15,7 +15,6 @@ from qschubert.basisconv import (
     module_expand,
     module_transition,
 )
-from qschubert.intlinalg import bareiss_det
 from qschubert.partitions import enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
 from qschubert.sympoly import SymPoly
@@ -173,6 +172,10 @@ def test_qexpansion_type():
     assert str(QExpansion({(): 2, (1,): -1})) == "-Q[1] + 2*Q[]"
     assert str(QExpansion({})) == "0"
     assert QExpansion({(1,): 2}).json_obj() == [{"partition": [1], "coefficient": 2}]
+    assert repr(QExpansion({(2, 1): 3, (3,): 12})) == "QExpansion(3*Q[2,1] + 12*Q[3])"
+    assert repr(QExpansion({})) == "QExpansion(0)"
+    assert QExpansion({(1,): 1}) + QExpansion({(1,): -1, (2,): 1}) == QExpansion({(2,): 1})
+    assert 0 * e == QExpansion({}) and not 0 * e
 
 
 def test_module_expansion_type():
@@ -182,3 +185,9 @@ def test_module_expansion_type():
     assert m.to_sympoly() == 2 * qtilde((2, 1)) * qtilde_pair(1, 1) ** 2
     assert m.ring_part().coeffs == {}
     assert ModuleExpansion({((2,), ()): 5}).ring_part().coeffs == {(2,): 5}
+    m = ModuleExpansion({((2, 1), (1, 1)): 2, ((3,), ()): -1, ((1,), (1,)): 0})
+    assert repr(m) == "ModuleExpansion({((3,), ()): -1, ((2, 1), (1, 1)): 2})"
+    assert str(m) == "-Q[3] + 2*Q[1,1]*Q[1,1]*Q[2,1]"
+    assert m + m == 2 * m
+    assert m.ring_part() == QExpansion({(3,): -1})
+    assert m != m.ring_part()

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from helpers import fraction_det
-from qschubert.intlinalg import bareiss_det
+from helpers import bareiss_det, fraction_det
 
 
 def test_known_determinants():

@@ -1,9 +1,11 @@
 import json
 import random
+import time
 
 import pytest
 
 from helpers import rand_sympoly
+from qschubert.basisconv import QExpansion
 from qschubert.partitions import complement, enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
 from qschubert.schubert import (
@@ -51,6 +53,17 @@ def test_class_validation():
     a = SchubertClass(ring, {(2, 1): 0})
     assert not a
     assert a == 0
+    assert omega((), ring) == 1 and omega((), ring) != 2
+    assert omega((1,), ring) != 0 and omega((1,), ring) != 1
+    b = SchubertClass(ring, {(2,): 2, (2, 1): 1})
+    assert repr(b) == "SchubertClass(n=2, 2*S[2] + S[2,1])"
+    assert repr(SchubertClass(LGRing(4))) == "SchubertClass(n=4, 0)"
+    # equal coefficients in different rings, or in another type, are unequal
+    other = SchubertClass(LGRing(3), b.coeffs)
+    assert b != other and other != b
+    with pytest.raises(ValueError):
+        b + other
+    assert b != QExpansion(b.coeffs)
 
 
 def test_reduce_examples():
@@ -133,6 +146,17 @@ def test_betti():
         seq = betti(LGRing(n))
         assert seq == seq[::-1]
         assert sum(seq) == 2 ** n
+    # counting the strict partitions one by one is an independent path
+    for n in range(1, 13):
+        assert betti(LGRing(n)) == tuple(
+            len(enumerate_partitions(d, max_part=n, strict=True))
+            for d in range(LGRing(n).dim + 1)
+        )
+    start = time.perf_counter()
+    seq = betti(LGRing(40))
+    assert time.perf_counter() - start < 0.5
+    assert len(seq) == 821 and seq == seq[::-1]
+    assert sum(seq) == 2 ** 40
 
 
 def test_reduce_drops_only_ideal_content():

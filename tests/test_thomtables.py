@@ -67,6 +67,23 @@ def test_injected_negative_coefficient_is_caught():
     assert ((2,), 0) in checks["nonnegative"].violators
     assert checks["homogeneous"].passed
     assert not report.passed
+    # a key in both parts is reported once, and its Legendre value decides
+    assert checks["nonnegative"].violators == [((2,), 0)]
+    r = by_name("A_3")
+    r.legendre.coeffs[((2,), 0)] = -3
+    checks = {c.name: c for c in verify_record(r).checks}
+    assert checks["nonnegative"].violators == [((2,), 0)]
+    r = by_name("A_3")
+    r.lagrange.coeffs[(2,)] = -3
+    checks = {c.name: c for c in verify_record(r).checks}
+    assert checks["nonnegative"].passed
+    assert not checks["lagrange_matches"].passed
+    # a Lagrange key with no Legendre copy is reported as its t^0 term
+    r = by_name("D_5")
+    r.lagrange.coeffs[(4,)] = -2
+    checks = {c.name: c for c in verify_record(r).checks}
+    assert checks["nonnegative"].violators == [((4,), 0)]
+    assert checks["homogeneous"].passed and checks["strict_keys"].passed
 
 
 def test_injected_homogeneity_fault_is_caught():
@@ -76,6 +93,11 @@ def test_injected_homogeneity_fault_is_caught():
     checks = {c.name: c for c in report.checks}
     assert not checks["homogeneous"].passed
     assert ((2,), 1) in checks["homogeneous"].violators
+    r = by_name("A_3")
+    r.lagrange.coeffs[(3,)] = 1
+    checks = {c.name: c for c in verify_record(r).checks}
+    assert checks["homogeneous"].violators == [((3,), 0)]
+    assert checks["nonnegative"].passed and checks["strict_keys"].passed
 
 
 def test_injected_lagrange_mismatch_is_caught():
@@ -94,6 +116,11 @@ def test_injected_non_strict_key_is_caught():
     checks = {c.name: c for c in report.checks}
     assert not checks["strict_keys"].passed
     assert ((1, 1), 0) in checks["strict_keys"].violators
+    r = by_name("A_3")
+    r.lagrange.coeffs[(1, 1)] = 1
+    checks = {c.name: c for c in verify_record(r).checks}
+    assert checks["strict_keys"].violators == [((1, 1), 0)]
+    assert checks["nonnegative"].passed and checks["homogeneous"].passed
 
 
 def test_positivity_check():
@@ -149,6 +176,13 @@ def test_texpansion_type():
         TExpansion({((1,), -1): 1})
     with pytest.raises(ValueError):
         TExpansion({((1, 2), 0): 1})
+    assert repr(t) == "TExpansion(3*Q[2] + t*Q[1])"
+    assert repr(TExpansion({})) == "TExpansion(0)"
+    assert t + t == 2 * t
+    assert t + (-1) * t == TExpansion({})
+    # the same terms in another combination type are unequal
+    assert QExpansion({(1,): 1}) != TExpansion({((1,), 0): 1})
+    assert TExpansion({((1,), 0): 1}) != QExpansion({(1,): 1})
 
 
 def test_record_json_shape():
