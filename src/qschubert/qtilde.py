@@ -7,9 +7,18 @@ Building blocks, expressed in the generators ci of sympoly:
   general    Q[I]   = Pfaffian of the skew matrix with entries Q[i_p, i_q]
 
 Odd-length index tuples are padded with a single zero part at the end
-before forming the Pfaffian.  Schur Q-functions arise from the same
-family by substituting the Chern series of the virtual difference
-bundle for the generators.
+before forming the Pfaffian.  Q[I] is built by expanding that Pfaffian
+along its first row,
+
+  Q[I] = sum over k >= 2 of (-1)^k * Q[i_1, i_k] * Q[I without i_1, i_k],
+
+where a minor that ends in the padding zero is the Q of the same parts
+without it.  Each minor is again a cached Q[I], so all partitions share
+their sub-partitions.  `pfaffian` and `SkewMatrix` are the reference
+implementation that the tests compare against.
+
+Schur Q-functions arise from the same family by substituting the Chern
+series of the virtual difference bundle for the generators.
 """
 
 from functools import cache
@@ -106,11 +115,15 @@ def _qtilde(parts) -> SymPoly:
     if h == 2:
         return qtilde_pair(parts[0], parts[1])
     idx = parts if h % 2 == 0 else parts + (0,)
-    upper = {}
-    for p in range(len(idx)):
-        for q in range(p + 1, len(idx)):
-            upper[(p, q)] = qtilde_pair(idx[p], idx[q])
-    return pfaffian(SkewMatrix(len(idx), upper))
+    first, rest = idx[0], idx[1:]
+    total = SymPoly.zero()
+    for pos, q in enumerate(rest):
+        minor = rest[:pos] + rest[pos + 1:]
+        if minor[-1] == 0:
+            minor = minor[:-1]
+        term = qtilde_pair(first, q) * _qtilde(minor)
+        total = total + term if pos % 2 == 0 else total - term
+    return total
 
 
 def schur_q(parts) -> SymPoly:

@@ -6,7 +6,9 @@ determinants use rational Gaussian elimination or fraction-free
 perfect-matching sums with permutation-parity signs, and symmetric
 functions are expanded in raw exponent dictionaries with local
 arithmetic helpers.  Agreement between these oracles and the package is
-what the tests assert.
+what the tests assert.  The one exception is `pfaffian_qtilde`, which
+builds Q[I] through the package's own `pfaffian` as the reference for
+the recursive construction in `qtilde`.
 """
 
 from fractions import Fraction
@@ -187,6 +189,16 @@ def oracle_qtilde(parts, n):
             prod = xp_mul(prod, oracle_qpair(idx[a], idx[b], n))
         total = xp_add(total, prod)
     return total
+
+
+def pfaffian_qtilde(parts):
+    """Q[I] as the Pfaffian of the two-row values, odd I padded with 0."""
+    from qschubert.qtilde import SkewMatrix, pfaffian, qtilde_pair
+
+    idx = tuple(parts) if len(parts) % 2 == 0 else tuple(parts) + (0,)
+    upper = {(p, q): qtilde_pair(idx[p], idx[q])
+             for p in range(len(idx)) for q in range(p + 1, len(idx))}
+    return pfaffian(SkewMatrix(len(idx), upper))
 
 
 def xp_of(xpoly):

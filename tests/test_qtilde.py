@@ -6,11 +6,20 @@ from helpers import (
     elem_x_squares,
     fraction_det,
     oracle_qtilde,
+    pfaffian_qtilde,
     rand_skew,
     xp_of,
 )
 from qschubert.partitions import enumerate_partitions
-from qschubert.qtilde import SkewMatrix, pfaffian, qtilde, qtilde_one, qtilde_pair, schur_q
+from qschubert.qtilde import (
+    SkewMatrix,
+    _qtilde,
+    pfaffian,
+    qtilde,
+    qtilde_one,
+    qtilde_pair,
+    schur_q,
+)
 from qschubert.sympoly import SymPoly, evaluate
 
 c1, c2, c3, c4 = (SymPoly.gen(i) for i in (1, 2, 3, 4))
@@ -107,6 +116,24 @@ def test_qtilde_matches_x_oracle():
     for parts in all_partitions_up_to(6):
         n = max(1, sum(parts))
         assert xp_of(evaluate(qtilde(parts), n)) == oracle_qtilde(parts, n)
+
+
+def test_qtilde_recursion_matches_pfaffian():
+    # the first-row recursion against the full Pfaffian of two-row values
+    count = 0
+    for parts in all_partitions_up_to(16):
+        assert qtilde(parts) == pfaffian_qtilde(parts), parts
+        count += 1
+    assert count == 915
+    # the recursion shares minors through the cache: building (1^16)
+    # stores exactly (1^16), (1^14), ..., (1, 1) and nothing else
+    _qtilde.cache_clear()
+    qtilde((1,) * 16)
+    assert _qtilde.cache_info().currsize == 8
+    misses = _qtilde.cache_info().misses
+    for k in range(2, 17, 2):
+        _qtilde((1,) * k)
+    assert _qtilde.cache_info().misses == misses
 
 
 def test_padding_prepend_flips_sign():
