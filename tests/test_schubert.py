@@ -5,7 +5,7 @@ import time
 import pytest
 
 from helpers import rand_sympoly
-from qschubert.basisconv import QExpansion
+from qschubert.basisconv import QExpansion, module_expand
 from qschubert.partitions import complement, enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
 from qschubert.schubert import (
@@ -75,7 +75,7 @@ def test_reduce_examples():
 
 
 def test_relations_vanish():
-    for n in range(1, 6):
+    for n in range(1, 9):
         ring = LGRing(n)
         for i in range(1, n + 1):
             assert reduce(qtilde_pair(i, i), ring) == 0
@@ -94,6 +94,28 @@ def test_multiply_examples():
     # a product landing in the top degree 28 of LG(7)
     ring = LGRing(7)
     assert multiply(omega((7, 5, 3, 1), ring), omega((6, 4, 2), ring)) == omega(ring.top, ring)
+    # qschubert mul 2 2,1 --n 3
+    ring = LGRing(3)
+    assert multiply(omega((2,), ring), omega((2, 1), ring)) == SchubertClass(ring, {(3, 2): 2})
+    ring = LGRing(8)
+    assert multiply(omega((8, 6, 4, 2), ring), omega((7, 5, 3, 1), ring)) == omega(ring.top, ring)
+
+
+def test_pieri_product_matches_free_module_path():
+    # two independent computations: the Pieri action against reducing the
+    # product of both lifts through the free-module expansion
+    for n in range(1, 6):
+        ring = LGRing(n)
+        keys = [
+            k
+            for d in range(ring.dim + 1)
+            for k in enumerate_partitions(d, max_part=n, strict=True)
+        ]
+        for x, i in enumerate(keys):
+            for j in keys[x:]:
+                oracle = module_expand(qtilde(i) * qtilde(j), n).ring_part()
+                got = multiply(omega(i, ring), omega(j, ring))
+                assert got == SchubertClass(ring, oracle.coeffs), (n, i, j)
 
 
 def test_multiply_is_associative_and_commutative():
@@ -170,13 +192,22 @@ def test_reduce_drops_only_ideal_content():
 
 def test_reduce_of_random_polynomials_is_consistent():
     # the two stated paths agree: module_expand ring part vs reduce
-    from qschubert.basisconv import module_expand
-
     rng = random.Random(21)
     for _ in range(10):
         p = rand_sympoly(rng, 6, 3, 3)
         ring = LGRing(3)
         assert reduce(p, ring).coeffs == module_expand(p, 3).ring_part().coeffs
+    # c_(n+1) and c_(n+2) vanish in the ring, and degrees pass dim LG(n)
+    rng = random.Random(22)
+    for n in (4, 5):
+        ring = LGRing(n)
+        nonzero = 0
+        for _ in range(12):
+            p = rand_sympoly(rng, ring.dim + 3, n, 3) + rand_sympoly(rng, ring.dim + 3, n + 2, 3)
+            got = reduce(p, ring)
+            assert got.coeffs == module_expand(p, n).ring_part().coeffs
+            nonzero += bool(got)
+        assert nonzero
 
 
 def test_rendering_and_json():
