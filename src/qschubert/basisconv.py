@@ -9,13 +9,14 @@ integer substitution:
                      with I strict, the free-module basis over the
                      subring generated by the Q[i, i].
 
-Each transition matrix is checked, once per component, to be
-unitriangular up to a column permutation: every column's lex-smallest
-e-monomial (its pivot) has coefficient 1, no two columns share a pivot,
-and there are as many columns as rows.  That proves the matrix
-unimodular, so substitution from the smallest pivot up gives the exact
-integer solution.  A failed check means a basis bug, not bad input, and
-raises BasisError.
+The columns of each graded component are read straight from the sparse
+terms of the basis elements, and checked once per component to form a
+unitriangular system up to a column permutation: no column is zero,
+every column's lex-smallest e-monomial (its pivot) has coefficient 1,
+no two columns share a pivot, and there are as many columns as
+e-monomials.  That proves the transition unimodular, so substitution
+from the smallest pivot up gives the exact integer solution.  A failed
+check means a basis bug, not bad input, and raises BasisError.
 """
 
 from functools import cache
@@ -100,56 +101,17 @@ class ModuleExpansion(Combination):
         return f"ModuleExpansion({{{body}}})"
 
 
-@cache
-def additive_transition(d: int, max_part=None):
-    """Transition data for degree d: (basis, rows, matrix).
+def _pivot_table(keys, element, bound, rows, what):
+    """Columns as (pivot, basis key, rest of the column), by ascending pivot.
 
-    basis: partitions indexing the Q[I] columns; rows: partitions
-    indexing e-monomial coordinates; matrix[r][c] is the coefficient of
-    e-monomial rows[r] in qtilde(basis[c]), truncated to parts <= max_part
-    when a bound is given.  Both index sets are the partitions of d with
-    parts <= bound, in descending lexicographic order.
+    The column of a key is element(key) with parts <= bound, read from
+    its sparse terms; rows is the number of e-monomials of the degree.
     """
-    bound = d if max_part is None else max_part
-    basis = tuple(enumerate_partitions(d, max_part=bound))
-    rows = basis
-    cols = []
-    for i in basis:
-        q = qtilde(i)
-        if max_part is not None:
-            q = q.truncate_parts(max_part)
-        cols.append(q)
-    matrix = tuple(tuple(q.terms.get(r, 0) for q in cols) for r in rows)
-    return basis, rows, matrix
-
-
-@cache
-def module_transition(d: int, n: int):
-    """Transition data for module_expand at degree d in n variables.
-
-    basis: pairs (I, mu), I strict, |I| + 2|mu| = d, all parts <= n,
-    listed by descending |I|, then descending lex in I, then in mu.
-    rows: partitions of d with parts <= n.  matrix as in
-    additive_transition.
-    """
-    basis = []
-    for w in range(d, -1, -2):
-        for i in enumerate_partitions(w, max_part=n, strict=True):
-            for mu in enumerate_partitions((d - w) // 2, max_part=n):
-                basis.append((i, mu))
-    rows = tuple(enumerate_partitions(d, max_part=n))
-    cols = [_module_element(key).truncate_parts(n) for key in basis]
-    matrix = tuple(tuple(q.terms.get(r, 0) for q in cols) for r in rows)
-    return tuple(basis), rows, matrix
-
-
-def _pivot_table(basis, rows, matrix, what):
-    """Columns as (pivot, basis key, rest of the column), by ascending pivot."""
-    if len(basis) != len(rows):
-        raise BasisError(f"{what}: index sets differ in size ({len(basis)} vs {len(rows)})")
+    if len(keys) != rows:
+        raise BasisError(f"{what}: index sets differ in size ({len(keys)} vs {rows})")
     table = {}
-    for key, column in zip(basis, zip(*matrix), strict=True):
-        col = {r: v for r, v in zip(rows, column, strict=True) if v}
+    for key in keys:
+        col = dict(element(key).truncate_parts(bound).terms)
         if not col:
             raise BasisError(f"{what}: zero column at {key}")
         pivot = min(col)
@@ -164,12 +126,23 @@ def _pivot_table(basis, rows, matrix, what):
 
 @cache
 def _additive_pivots(d: int, max_part=None):
-    return _pivot_table(*additive_transition(d, max_part), f"degree {d}")
+    """Q[I] over the partitions of d with parts <= max_part."""
+    keys = enumerate_partitions(d, max_part=max_part)
+    bound = d if max_part is None else max_part
+    return _pivot_table(keys, qtilde, bound, len(keys), f"degree {d}")
 
 
 @cache
 def _module_pivots(d: int, n: int):
-    return _pivot_table(*module_transition(d, n), f"degree {d} over {n} variables")
+    """(prod_k Q[m_k,m_k]) * Q[I] over (I, mu), I strict, |I| + 2|mu| = d, parts <= n."""
+    keys = [
+        (i, mu)
+        for w in range(d, -1, -2)
+        for i in enumerate_partitions(w, max_part=n, strict=True)
+        for mu in enumerate_partitions((d - w) // 2, max_part=n)
+    ]
+    rows = len(enumerate_partitions(d, max_part=n))
+    return _pivot_table(keys, _module_element, n, rows, f"degree {d} over {n} variables")
 
 
 def _substitute(pivots, comp, what):
@@ -189,10 +162,6 @@ def _substitute(pivots, comp, what):
     return out
 
 
-def _solve_component(basis, rows, matrix, comp, what):
-    return _substitute(_pivot_table(basis, rows, matrix, what), comp, what)
-
-
 def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     """Write p as an integer combination of Q[I] with parts <= max_part.
 
@@ -210,9 +179,6 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
                 )
     coeffs = {}
     for d, comp in p.homogeneous_components().items():
-        if d == 0:
-            coeffs[()] = comp.terms[()]
-            continue
         coeffs.update(_substitute(_additive_pivots(d, max_part), comp, f"degree {d}"))
     return QExpansion(coeffs)
 
@@ -227,9 +193,5 @@ def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
     p = p.truncate_parts(n)
     coeffs = {}
     for d, comp in p.homogeneous_components().items():
-        if d == 0:
-            coeffs[((), ())] = comp.terms[()]
-            continue
-        what = f"degree {d} over {n} variables"
-        coeffs.update(_substitute(_module_pivots(d, n), comp, what))
+        coeffs.update(_substitute(_module_pivots(d, n), comp, f"degree {d} over {n} variables"))
     return ModuleExpansion(coeffs)

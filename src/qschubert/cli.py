@@ -20,7 +20,7 @@ import json
 import sys
 
 from .basisconv import BasisError, qmono
-from .exprio import ExprError, elaborate, in_qtilde_basis, parse
+from .exprio import elaborate, in_qtilde_basis, parse
 from .partitions import parse_partition
 from .qtilde import qtilde, schur_q
 from .schubert import LGRing, betti, multiply, omega, pair
@@ -187,9 +187,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,11 @@ determinants use rational Gaussian elimination or fraction-free
 perfect-matching sums with permutation-parity signs, and symmetric
 functions are expanded in raw exponent dictionaries with local
 arithmetic helpers.  Agreement between these oracles and the package is
-what the tests assert.  The one exception is `pfaffian_qtilde`, which
-builds Q[I] through the package's own `pfaffian` as the reference for
-the recursive construction in `qtilde`.
+what the tests assert.  Two exceptions use the package's public
+constructors: `pfaffian_qtilde` builds Q[I] through the package's own
+`pfaffian` as the reference for the recursive construction in `qtilde`,
+and the `*_transition_matrix` builders assemble the dense transition
+matrices from `qtilde` and `qtilde_pair` for `bareiss_det`.
 """
 
 from fractions import Fraction
@@ -67,6 +69,51 @@ def bareiss_det(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[h - 1][h - 1]
+
+
+def _dense(basis, rows, columns):
+    matrix = tuple(tuple(q.terms.get(r, 0) for q in columns) for r in rows)
+    return tuple(basis), tuple(rows), matrix
+
+
+def additive_transition_matrix(d, max_part=None):
+    """(basis, rows, matrix) of the Q[I] over the partitions of d.
+
+    matrix[r][c] is the coefficient of e-monomial rows[r] in Q[basis[c]],
+    truncated to parts <= max_part when a bound is given.  Both index
+    sets are the partitions of d with parts <= bound, in descending
+    lexicographic order.
+    """
+    from qschubert.partitions import enumerate_partitions
+    from qschubert.qtilde import qtilde
+
+    basis = enumerate_partitions(d, max_part=max_part)
+    bound = d if max_part is None else max_part
+    return _dense(basis, basis, [qtilde(i).truncate_parts(bound) for i in basis])
+
+
+def module_transition_matrix(d, n):
+    """(basis, rows, matrix) of the free-module basis at degree d in n variables.
+
+    basis: pairs (I, mu), I strict, |I| + 2|mu| = d, all parts <= n,
+    listed by descending |I|, then descending lex in I, then in mu; the
+    column of (I, mu) is Q[I] * prod_k Q[m_k, m_k] truncated to parts
+    <= n.  rows: partitions of d with parts <= n.
+    """
+    from qschubert.partitions import enumerate_partitions
+    from qschubert.qtilde import qtilde, qtilde_pair
+
+    basis = []
+    columns = []
+    for w in range(d, -1, -2):
+        for i in enumerate_partitions(w, max_part=n, strict=True):
+            for mu in enumerate_partitions((d - w) // 2, max_part=n):
+                q = qtilde(i)
+                for m in mu:
+                    q = q * qtilde_pair(m, m)
+                basis.append((i, mu))
+                columns.append(q.truncate_parts(n))
+    return _dense(basis, enumerate_partitions(d, max_part=n), columns)
 
 
 def matchings(idx):

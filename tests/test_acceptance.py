@@ -9,15 +9,17 @@ import json
 import random
 
 from helpers import (
+    additive_transition_matrix,
     bareiss_det,
     elem_x_squares,
     fraction_det,
+    module_transition_matrix,
     oracle_qtilde,
     rand_skew,
     rand_sympoly,
     xp_of,
 )
-from qschubert.basisconv import additive_transition, expand_in_qtilde, module_expand, module_transition
+from qschubert.basisconv import expand_in_qtilde, module_expand
 from qschubert.cli import main
 from qschubert.exprio import ExprError, elaborate, in_qtilde_basis, parse
 from qschubert.partitions import complement, enumerate_partitions
@@ -50,7 +52,7 @@ def test_c02_additive_basis():
     dets = 0
     for n in range(1, 6):
         for d in range(1, 11):
-            basis, rows, matrix = additive_transition(d, n)
+            basis, rows, matrix = additive_transition_matrix(d, n)
             assert len(basis) == len(rows) == len(matrix)
             assert bareiss_det([list(r) for r in matrix]) in (1, -1)
             dets += 1
@@ -65,7 +67,7 @@ def test_c03_free_module_basis():
     rng = random.Random(303)
     for n in range(1, 5):
         for d in range(1, 9):
-            basis, rows, matrix = module_transition(d, n)
+            basis, rows, matrix = module_transition_matrix(d, n)
             assert len(basis) == len(rows) == len(matrix)
             assert bareiss_det([list(r) for r in matrix]) in (1, -1)
     for _ in range(100):

@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from helpers import bareiss_det, rand_sympoly
+from helpers import additive_transition_matrix, bareiss_det, module_transition_matrix, rand_sympoly
 from qschubert.basisconv import (
     BasisError,
     ModuleExpansion,
     QExpansion,
     _additive_pivots,
     _module_pivots,
-    _solve_component,
-    additive_transition,
+    _pivot_table,
+    _substitute,
     expand_in_qtilde,
     module_expand,
-    module_transition,
 )
 from qschubert.partitions import enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
@@ -58,6 +57,9 @@ def test_expand_with_bounded_parts():
     p = (c2 * c1).truncate_parts(2)
     e = expand_in_qtilde(p, max_part=2)
     assert e.coeffs == {(2, 1): 1}
+    # degree 0 runs through the same single-column substitution
+    assert expand_in_qtilde(SymPoly.const(5), max_part=2).coeffs == {(): 5}
+    assert expand_in_qtilde(c1 ** 2 + 3, max_part=1).coeffs == {(1, 1): 1, (): 3}
     rng = random.Random(31)
     for _ in range(20):
         n = rng.randint(1, 4)
@@ -75,12 +77,12 @@ def test_expand_rejects_unrepresentable():
 
 def test_transition_matrices_are_unimodular():
     for d in range(1, 9):
-        basis, rows, matrix = additive_transition(d, None)
+        basis, rows, matrix = additive_transition_matrix(d, None)
         assert len(basis) == len(rows) == len(matrix)
         assert bareiss_det([list(r) for r in matrix]) in (1, -1)
     for n in range(1, 5):
         for d in range(1, 9):
-            basis, rows, matrix = module_transition(d, n)
+            basis, rows, matrix = module_transition_matrix(d, n)
             assert len(basis) == len(rows) == len(matrix)
             assert bareiss_det([list(r) for r in matrix]) in (1, -1)
 
@@ -92,6 +94,7 @@ def test_module_expand_examples():
     assert m.coeffs == {((), (2,)): 1}
     for n in range(1, 4):
         assert module_expand(c1, n).coeffs == {((1,), ()): 1}
+        assert module_expand(SymPoly.const(5), n).coeffs == {((), ()): 5}
 
 
 def test_module_expand_round_trips():
@@ -125,30 +128,38 @@ def test_module_keys_are_strict_and_graded():
             assert all(v <= 3 for v in i + mu)
 
 
+def _rigged_solve(columns, comp, rows=None):
+    """Solve comp against columns given as {key: {e-monomial: coefficient}}."""
+    keys = tuple(columns)
+    rows = len(keys) if rows is None else rows
+    table = _pivot_table(keys, lambda key: SymPoly(columns[key]), 9, rows, "rigged")
+    return _substitute(table, comp, "rigged")
+
+
 def test_solve_component_raises_on_rigged_systems():
     comp = SymPoly({(1,): 1})
-    with pytest.raises(BasisError):
-        _solve_component(((1,),), ((1,),), ((0,),), comp, "rigged")
-    with pytest.raises(BasisError):
-        _solve_component(((1,),), ((1,),), ((2,),), comp, "rigged")
-    with pytest.raises(BasisError):
-        _solve_component(((1,), (2,)), ((1,),), ((1,),), comp, "rigged")
+    with pytest.raises(BasisError, match="zero column"):
+        _rigged_solve({(1,): {}}, comp)
+    with pytest.raises(BasisError, match="coefficient 2"):
+        _rigged_solve({(1,): {(1,): 2}}, comp)
+    with pytest.raises(BasisError, match="differ in size"):
+        _rigged_solve({(1,): {(1,): 1}, (2,): {(2,): 1}}, comp, rows=1)
 
 
 def test_solve_component_raises_on_non_unitriangular_systems():
     comp = SymPoly({(1, 1): 1})
-    keys = ((1, 1), (2,))
     # unimodular, but both columns have their lex-smallest monomial at (1,1)
     assert bareiss_det([[1, 1], [1, 0]]) == -1
     with pytest.raises(BasisError, match="share the pivot"):
-        _solve_component(keys, keys, ((1, 1), (1, 0)), comp, "rigged")
+        _rigged_solve({(1, 1): {(1, 1): 1, (2,): 1}, (2,): {(1, 1): 1}}, comp)
     with pytest.raises(BasisError, match="zero column"):
-        _solve_component(keys, keys, ((1, 0), (0, 0)), comp, "rigged")
+        _rigged_solve({(1, 1): {(1, 1): 1}, (2,): {}}, comp)
     with pytest.raises(BasisError, match="coefficient -1"):
-        _solve_component(keys, keys, ((-1, 0), (0, 1)), comp, "rigged")
-    assert _solve_component(keys, keys, ((1, 0), (2, 1)), comp, "rigged") == {(1, 1): 1, (2,): -2}
+        _rigged_solve({(1, 1): {(1, 1): -1}, (2,): {(2,): 1}}, comp)
+    solvable = {(1, 1): {(1, 1): 1, (2,): 2}, (2,): {(2,): 1}}
+    assert _rigged_solve(solvable, comp) == {(1, 1): 1, (2,): -2}
     with pytest.raises(BasisError, match="no column's pivot"):
-        _solve_component(keys, keys, ((1, 0), (0, 1)), SymPoly({(1, 1): 1, (3,): 2}), "rigged")
+        _rigged_solve({(1, 1): {(1, 1): 1}, (2,): {(2,): 1}}, SymPoly({(1, 1): 1, (3,): 2}))
 
 
 def test_transition_pivots_are_the_column_keys():
