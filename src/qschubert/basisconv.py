@@ -1,7 +1,6 @@
 """Change of basis into the Qtilde family.
 
-Two expansions are provided, both solved per graded component by exact
-integer substitution:
+Two expansions are provided, both by the Q-Pieri rule of schubert:
 
   expand_in_qtilde   P as an integer combination of Q[I] over partitions
                      with bounded parts (the additive basis).
@@ -9,25 +8,27 @@ integer substitution:
                      with I strict, the free-module basis over the
                      subring generated by the Q[i, i].
 
-The columns of each graded component are read straight from the sparse
-terms of the basis elements, and checked once per component to form a
-unitriangular system up to a column permutation: no column is zero,
-every column's lex-smallest e-monomial (its pivot) has coefficient 1,
-no two columns share a pivot, and there are as many columns as
-e-monomials.  That proves the transition unimodular, so substitution
-from the smallest pivot up gives the exact integer solution.  A failed
-check means a basis bug, not bad input, and raises BasisError.
+Each monomial c_r1 * c_r2 * ... of P acts on Q[] = 1, one c_r at a
+time; c_r * Q[I] is a sum of Q[K] with coefficients powers of 2
+(Pragacz-Ratajski 1996), so no Q[I] is built and nothing is solved.
+With parts bounded by b, the Q[K] with K_1 > b are dropped, because
+they vanish once ci = 0 for i > b.  Q[J u mu u mu] equals
+(prod_k Q[m_k, m_k]) * Q[J] for J strict, so the free-module expansion
+is the bounded one, relabelled.  The tests check both against exact
+substitution in the unitriangular transition of each degree.
 """
 
-from functools import cache
-
-from .partitions import enumerate_partitions, partition
+from .partitions import partition
 from .qtilde import qtilde, qtilde_pair
+from .schubert import _split, _times
 from .sympoly import Combination, SymPoly
 
 
 class BasisError(RuntimeError):
-    """Internal invariant violation: a claimed basis failed to be one."""
+    """Invariant violation: a claimed basis failed to be one.
+
+    Only the pivot-table check of the test suite raises it now.
+    """
 
 
 def qmono(key):
@@ -101,64 +102,19 @@ class ModuleExpansion(Combination):
         return f"ModuleExpansion({{{body}}})"
 
 
-def _pivot_table(keys, element, bound, rows, what):
-    """Columns as (pivot, basis key, rest of the column), by ascending pivot.
-
-    The column of a key is element(key) with parts <= bound, read from
-    its sparse terms; rows is the number of e-monomials of the degree.
-    """
-    if len(keys) != rows:
-        raise BasisError(f"{what}: index sets differ in size ({len(keys)} vs {rows})")
-    table = {}
-    for key in keys:
-        col = dict(element(key).truncate_parts(bound).terms)
-        if not col:
-            raise BasisError(f"{what}: zero column at {key}")
-        pivot = min(col)
-        lead = col.pop(pivot)
-        if lead != 1:
-            raise BasisError(f"{what}: pivot {pivot} of {key} has coefficient {lead}")
-        if pivot in table:
-            raise BasisError(f"{what}: {key} and {table[pivot][0]} share the pivot {pivot}")
-        table[pivot] = (key, col)
-    return tuple((pivot, key, col) for pivot, (key, col) in sorted(table.items()))
-
-
-@cache
-def _additive_pivots(d: int, max_part=None):
-    """Q[I] over the partitions of d with parts <= max_part."""
-    keys = enumerate_partitions(d, max_part=max_part)
-    bound = d if max_part is None else max_part
-    return _pivot_table(keys, qtilde, bound, len(keys), f"degree {d}")
-
-
-@cache
-def _module_pivots(d: int, n: int):
-    """(prod_k Q[m_k,m_k]) * Q[I] over (I, mu), I strict, |I| + 2|mu| = d, parts <= n."""
-    keys = [
-        (i, mu)
-        for w in range(d, -1, -2)
-        for i in enumerate_partitions(w, max_part=n, strict=True)
-        for mu in enumerate_partitions((d - w) // 2, max_part=n)
-    ]
-    rows = len(enumerate_partitions(d, max_part=n))
-    return _pivot_table(keys, _module_element, n, rows, f"degree {d} over {n} variables")
-
-
-def _substitute(pivots, comp, what):
-    """Solve by eliminating the lex-smallest monomial left, pivot by pivot."""
-    residual = dict(comp.terms)
+def _expand(p: SymPoly, bound) -> dict:
+    """p acting on Q[] as {I: coeff}, monomials sharing a prefix acted once."""
+    memo = {(): {(): 1}}
     out = {}
-    for pivot, key, col in pivots:
-        c = residual.pop(pivot, 0)
-        if c:
-            out[key] = c
-            for r, v in col.items():
-                residual[r] = residual.get(r, 0) - c * v
-    # columns only add monomials above their pivot, so what is left has none
-    stray = [r for r, v in residual.items() if v]
-    if stray:
-        raise BasisError(f"{what}: monomial {min(stray)} is no column's pivot")
+    for mono, c in p.terms.items():
+        k = len(mono)
+        while mono[:k] not in memo:
+            k -= 1
+        v = memo[mono[:k]]
+        for i in range(k, len(mono)):
+            v = memo[mono[:i + 1]] = _times(mono[i], v, bound, False)
+        for key, x in v.items():
+            out[key] = out.get(key, 0) + c * x
     return out
 
 
@@ -169,18 +125,15 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     degree.  With a finite bound, p must already live in the subring on
     c1..c_max_part; a generator outside it is rejected.
     """
-    if max_part is not None and max_part < 1:
-        raise ValueError(f"max_part must be positive, got {max_part}")
     if max_part is not None:
+        if max_part < 1:
+            raise ValueError(f"max_part must be positive, got {max_part}")
         for key in p.terms:
             if key and key[0] > max_part:
                 raise ValueError(
                     f"term {key} uses c{key[0]}, not representable with parts <= {max_part}"
                 )
-    coeffs = {}
-    for d, comp in p.homogeneous_components().items():
-        coeffs.update(_substitute(_additive_pivots(d, max_part), comp, f"degree {d}"))
-    return QExpansion(coeffs)
+    return QExpansion(_expand(p, max_part))
 
 
 def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
@@ -190,8 +143,4 @@ def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
     """
     if n < 1:
         raise ValueError(f"variable count must be positive, got {n}")
-    p = p.truncate_parts(n)
-    coeffs = {}
-    for d, comp in p.homogeneous_components().items():
-        coeffs.update(_substitute(_module_pivots(d, n), comp, f"degree {d} over {n} variables"))
-    return ModuleExpansion(coeffs)
+    return ModuleExpansion({_split(i): c for i, c in _expand(p.truncate_parts(n), n).items()})

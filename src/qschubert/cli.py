@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .basisconv import BasisError, qmono
+from .basisconv import qmono
 from .exprio import elaborate, in_qtilde_basis, parse
 from .partitions import parse_partition
 from .qtilde import qtilde, schur_q
@@ -190,9 +190,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BasisError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -16,13 +16,16 @@ polynomials, III (8.15)); with Q = 2^len * P it reads
 where mu runs over the strict partitions with parts <= n and
 |mu| = |lam| + r such that mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... (an
 ordinary horizontal strip), and a(lam, mu) counts the columns c >= 1
-that hold a box of mu/lam while column c + 1 holds none.  Reduction and
-products run that action; the free-module expansion of basisconv, whose
-component with trivial module part is the reduction too, is the tests'
-independent oracle.
+that hold a box of mu/lam while column c + 1 holds none.  Dropping
+strictness and the bound gives the Q-Pieri rule in the ring itself
+(Pragacz-Ratajski 1996): for J strict, c_r * Q[J u mu u mu] is the same
+sum of Q[K u mu u mu] over all K.  Both are one memoized rule,
+_pieri: reduction and products here run its strict form, and the
+expansions of basisconv its general form.
 """
 
 from functools import cache
+from itertools import groupby
 
 from .partitions import complement, is_strict, partition
 from .qtilde import qtilde
@@ -132,30 +135,65 @@ def omega(parts, ring: LGRing) -> SchubertClass:
     return SchubertClass(ring, {partition(parts): 1})
 
 
+def _split(key: tuple) -> tuple:
+    """(J, mu) with key = J u mu u mu and J strict."""
+    j, mu = (), ()
+    for m, run in groupby(key):
+        k = len(tuple(run))
+        j += (m,) * (k % 2)
+        mu += (m,) * (k // 2)
+    return j, mu
+
+
 @cache
-def _pieri(r: int, lam: tuple, n: int) -> dict:
-    """S[r] * S[lam] in H*(LG(n)) as {mu: coeff}, by the Pieri rule.
+def _pieri(r: int, key: tuple, bound, strict: bool) -> dict:
+    """c_r * Q[key] in the Q basis as {K u mu u mu: coeff}, by the Q-Pieri rule.
+
+    With key = J u mu u mu and J strict, K runs over the partitions that
+    make K/J an ordinary horizontal strip of r boxes, with coefficient
+    2^(a(J, K) + len(J) - len(K)).  K with K_1 > bound is dropped (its
+    Q vanishes once ci = 0 for i > bound; None means no bound), and with
+    strict every K with a repeated part too.  With strict and a strict
+    key this is S[r] * S[key] in H*(LG(bound)).
 
     The result is shared by every caller and must not be mutated.
     """
-    rows = lam + (0,)
+    j, mu = _split(key)
+    rows, pairs = j + (0,), mu + mu
+    # grow K row by row as (rows so far, boxes left, a(J, K) so far)
+    states = [((), r, 0)]
+    for i, lo in enumerate(rows):
+        grown = []
+        for k, left, a in states:
+            # row i ends by row i - 1 of J (or the bound); when strict,
+            # also below row i - 1 of K
+            hi = (lo + left if bound is None else bound) if i == 0 else rows[i - 1]
+            if strict and i:
+                hi = min(hi, k[-1] - 1)
+            # the rows below take at most lo boxes, so the last row
+            # (lo = 0) takes exactly what is left
+            for m in range(max(lo, left), min(hi, lo + left) + 1):
+                # a(J, K) counts the runs of columns the strip rows (J_i, K_i]
+                # fill; a row touching the nonempty row above extends a run
+                new = m > lo and not (i and m == rows[i - 1] and k[-1] > rows[i - 1])
+                grown.append((k + (m,), left - (m - lo), a + new))
+        states = grown
     out = {}
+    for k, _, a in states:
+        if k[-1]:
+            a -= 1  # K has one row more than J
+        else:
+            k = k[:-1]
+        out[tuple(sorted(k + pairs, reverse=True)) if pairs else k] = 1 << a
+    return out
 
-    def place(mu, cols, left):
-        i = len(mu)
-        if i == len(rows):
-            if not left:
-                a = sum(1 for c in cols if c + 1 not in cols)
-                key = mu[:-1] if mu[-1] == 0 else mu
-                out[key] = 2 ** (a + len(lam) - len(key))
-            return
-        lo = rows[i]
-        # mu_1 <= n; below it mu_i <= lam_(i-1) and mu_i < mu_(i-1)
-        hi = n if i == 0 else min(rows[i - 1], mu[-1] - 1)
-        for m in range(lo, min(hi, lo + left) + 1):
-            place(mu + (m,), cols | set(range(lo + 1, m + 1)), left - (m - lo))
 
-    place((), frozenset(), r)
+def _times(r: int, vec: dict, bound, strict: bool) -> dict:
+    """c_r acting on vec, a combination {key: coeff}, by the Q-Pieri rule."""
+    out = {}
+    for key, x in vec.items():
+        for k, v in _pieri(r, key, bound, strict).items():
+            out[k] = out.get(k, 0) + x * v
     return out
 
 
@@ -167,11 +205,7 @@ def _act(p: SymPoly, vec: dict, n: int) -> dict:
             continue  # ci = 0 in H*(LG(n)) for i > n
         v = vec
         for r in mono:
-            w = {}
-            for lam, x in v.items():
-                for mu, k in _pieri(r, lam, n).items():
-                    w[mu] = w.get(mu, 0) + x * k
-            v = w
+            v = _times(r, v, n, True)
         for mu, x in v.items():
             out[mu] = out.get(mu, 0) + c * x
     return out

@@ -9,8 +9,10 @@ arithmetic helpers.  Agreement between these oracles and the package is
 what the tests assert.  Two exceptions use the package's public
 constructors: `pfaffian_qtilde` builds Q[I] through the package's own
 `pfaffian` as the reference for the recursive construction in `qtilde`,
-and the `*_transition_matrix` builders assemble the dense transition
-matrices from `qtilde` and `qtilde_pair` for `bareiss_det`.
+and the `*_transition_matrix` builders and the pivot-table solve
+(`oracle_expand`, `oracle_module_expand`) assemble their columns from
+`qtilde` and `qtilde_pair`: they are the reference for the Pieri-rule
+expansions of `basisconv`.
 """
 
 from fractions import Fraction
@@ -76,6 +78,29 @@ def _dense(basis, rows, columns):
     return tuple(basis), tuple(rows), matrix
 
 
+def module_element(key):
+    """The free-module basis element Q[I] * prod_k Q[m_k, m_k] of the key (I, mu)."""
+    from qschubert.qtilde import qtilde, qtilde_pair
+
+    i, mu = key
+    q = qtilde(i)
+    for m in mu:
+        q = q * qtilde_pair(m, m)
+    return q
+
+
+def module_keys(d, n):
+    """(I, mu), I strict, |I| + 2|mu| = d, all parts <= n, by descending |I|."""
+    from qschubert.partitions import enumerate_partitions
+
+    return [
+        (i, mu)
+        for w in range(d, -1, -2)
+        for i in enumerate_partitions(w, max_part=n, strict=True)
+        for mu in enumerate_partitions((d - w) // 2, max_part=n)
+    ]
+
+
 def additive_transition_matrix(d, max_part=None):
     """(basis, rows, matrix) of the Q[I] over the partitions of d.
 
@@ -95,25 +120,100 @@ def additive_transition_matrix(d, max_part=None):
 def module_transition_matrix(d, n):
     """(basis, rows, matrix) of the free-module basis at degree d in n variables.
 
-    basis: pairs (I, mu), I strict, |I| + 2|mu| = d, all parts <= n,
-    listed by descending |I|, then descending lex in I, then in mu; the
-    column of (I, mu) is Q[I] * prod_k Q[m_k, m_k] truncated to parts
-    <= n.  rows: partitions of d with parts <= n.
+    basis: module_keys(d, n); the column of (I, mu) is module_element
+    truncated to parts <= n.  rows: partitions of d with parts <= n.
     """
     from qschubert.partitions import enumerate_partitions
-    from qschubert.qtilde import qtilde, qtilde_pair
 
-    basis = []
-    columns = []
-    for w in range(d, -1, -2):
-        for i in enumerate_partitions(w, max_part=n, strict=True):
-            for mu in enumerate_partitions((d - w) // 2, max_part=n):
-                q = qtilde(i)
-                for m in mu:
-                    q = q * qtilde_pair(m, m)
-                basis.append((i, mu))
-                columns.append(q.truncate_parts(n))
+    basis = module_keys(d, n)
+    columns = [module_element(key).truncate_parts(n) for key in basis]
     return _dense(basis, enumerate_partitions(d, max_part=n), columns)
+
+
+# ---- the exact pivot-table solve: oracle for the Pieri-rule expansions ----
+
+def pivot_table(keys, element, bound, rows, what):
+    """Columns as (pivot, basis key, rest of the column), by ascending pivot.
+
+    The column of a key is element(key) with parts <= bound, read from
+    its sparse terms; rows is the number of e-monomials of the degree.
+    The table is checked to be unitriangular up to a column permutation:
+    no zero column, unit pivots, no shared pivot, as many columns as
+    rows.  A failed check raises BasisError.
+    """
+    from qschubert.basisconv import BasisError
+
+    if len(keys) != rows:
+        raise BasisError(f"{what}: index sets differ in size ({len(keys)} vs {rows})")
+    table = {}
+    for key in keys:
+        col = dict(element(key).truncate_parts(bound).terms)
+        if not col:
+            raise BasisError(f"{what}: zero column at {key}")
+        pivot = min(col)
+        lead = col.pop(pivot)
+        if lead != 1:
+            raise BasisError(f"{what}: pivot {pivot} of {key} has coefficient {lead}")
+        if pivot in table:
+            raise BasisError(f"{what}: {key} and {table[pivot][0]} share the pivot {pivot}")
+        table[pivot] = (key, col)
+    return tuple((pivot, key, col) for pivot, (key, col) in sorted(table.items()))
+
+
+@cache
+def additive_pivots(d, max_part=None):
+    """Pivot table of the Q[I] over the partitions of d with parts <= max_part."""
+    from qschubert.partitions import enumerate_partitions
+    from qschubert.qtilde import qtilde
+
+    keys = enumerate_partitions(d, max_part=max_part)
+    bound = d if max_part is None else max_part
+    return pivot_table(keys, qtilde, bound, len(keys), f"degree {d}")
+
+
+@cache
+def module_pivots(d, n):
+    """Pivot table of the free-module basis at degree d in n variables."""
+    from qschubert.partitions import enumerate_partitions
+
+    rows = len(enumerate_partitions(d, max_part=n))
+    return pivot_table(module_keys(d, n), module_element, n, rows,
+                       f"degree {d} over {n} variables")
+
+
+def substitute(pivots, comp, what):
+    """Solve by eliminating the lex-smallest monomial left, pivot by pivot."""
+    from qschubert.basisconv import BasisError
+
+    residual = dict(comp.terms)
+    out = {}
+    for pivot, key, col in pivots:
+        c = residual.pop(pivot, 0)
+        if c:
+            out[key] = c
+            for r, v in col.items():
+                residual[r] = residual.get(r, 0) - c * v
+    # columns only add monomials above their pivot, so what is left has none
+    stray = [r for r, v in residual.items() if v]
+    if stray:
+        raise BasisError(f"{what}: monomial {min(stray)} is no column's pivot")
+    return out
+
+
+def oracle_expand(p, max_part=None):
+    """{I: coeff} of p in the Q[I] with parts <= max_part, degree by degree."""
+    coeffs = {}
+    for d, comp in p.homogeneous_components().items():
+        coeffs.update(substitute(additive_pivots(d, max_part), comp, f"degree {d}"))
+    return coeffs
+
+
+def oracle_module_expand(p, n):
+    """{(I, mu): coeff} of p, restricted to n variables, in the free-module basis."""
+    coeffs = {}
+    for d, comp in p.truncate_parts(n).homogeneous_components().items():
+        coeffs.update(substitute(module_pivots(d, n), comp, f"degree {d} over {n} variables"))
+    return coeffs
 
 
 def matchings(idx):

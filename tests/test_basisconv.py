@@ -2,20 +2,29 @@ import random
 
 import pytest
 
-from helpers import additive_transition_matrix, bareiss_det, module_transition_matrix, rand_sympoly
+from helpers import (
+    additive_pivots,
+    additive_transition_matrix,
+    bareiss_det,
+    module_element,
+    module_pivots,
+    module_transition_matrix,
+    oracle_expand,
+    oracle_module_expand,
+    pivot_table,
+    rand_sympoly,
+    substitute,
+)
 from qschubert.basisconv import (
     BasisError,
     ModuleExpansion,
     QExpansion,
-    _additive_pivots,
-    _module_pivots,
-    _pivot_table,
-    _substitute,
     expand_in_qtilde,
     module_expand,
 )
 from qschubert.partitions import enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
+from qschubert.schubert import _pieri
 from qschubert.sympoly import SymPoly
 
 c1, c2, c3 = SymPoly.gen(1), SymPoly.gen(2), SymPoly.gen(3)
@@ -132,8 +141,8 @@ def _rigged_solve(columns, comp, rows=None):
     """Solve comp against columns given as {key: {e-monomial: coefficient}}."""
     keys = tuple(columns)
     rows = len(keys) if rows is None else rows
-    table = _pivot_table(keys, lambda key: SymPoly(columns[key]), 9, rows, "rigged")
-    return _substitute(table, comp, "rigged")
+    table = pivot_table(keys, lambda key: SymPoly(columns[key]), 9, rows, "rigged")
+    return substitute(table, comp, "rigged")
 
 
 def test_solve_component_raises_on_rigged_systems():
@@ -166,11 +175,11 @@ def test_transition_pivots_are_the_column_keys():
     # the lex-smallest e-monomial of Q[I] is e_I; of Q[I] * prod Q[m, m]
     # it is e_K with K = I, mu, mu merged
     for d in range(1, 15):
-        for pivot, key, _ in _additive_pivots(d, None):
+        for pivot, key, _ in additive_pivots(d, None):
             assert pivot == key
     for n in range(1, 7):
         for d in range(1, n * (n + 1) // 2 + 1):
-            for pivot, (i, mu), _ in _module_pivots(d, n):
+            for pivot, (i, mu), _ in module_pivots(d, n):
                 assert pivot == tuple(sorted(i + mu + mu, reverse=True))
 
 
@@ -202,3 +211,46 @@ def test_module_expansion_type():
     assert m + m == 2 * m
     assert m.ring_part() == QExpansion({(3,): -1})
     assert m != m.ring_part()
+
+
+def test_expand_matches_the_pivot_solve_on_every_monomial():
+    for bound in (None, 1, 2, 3, 5):
+        for d in range(15):
+            for mono in enumerate_partitions(d, max_part=bound):
+                p = SymPoly({mono: 1})
+                assert expand_in_qtilde(p, bound).coeffs == oracle_expand(p, bound), (mono, bound)
+
+
+def test_module_expand_matches_the_pivot_solve():
+    # every monomial up to the top degree n(n+1)/2 of LG(n), and with one
+    # generator past n, which the restriction to n variables kills
+    for n in range(1, 7):
+        for d in range(n * (n + 1) // 2 + 1):
+            for mono in enumerate_partitions(d, max_part=n):
+                for p in (SymPoly({mono: 1}), SymPoly({mono + (n + 1,): 1})):
+                    assert module_expand(p, n).coeffs == oracle_module_expand(p, n), (mono, n)
+
+
+def test_qtilde_factors_through_the_pairs():
+    # Q[J u mu u mu] = prod_k Q[m_k, m_k] * Q[J] with J strict, so the
+    # module basis element of (J, mu) is the additive one of J u mu u mu
+    keys = [key for d in range(17) for key in enumerate_partitions(d)]
+    assert len(keys) == 915
+    for key in keys:
+        j = tuple(m for m in sorted(set(key), reverse=True) if key.count(m) % 2)
+        mu = tuple(m for m in sorted(set(key), reverse=True) for _ in range(key.count(m) // 2))
+        assert qtilde(key) == module_element((j, mu)), key
+
+
+def test_pieri_coefficients_are_powers_of_two():
+    # so c_r * Q[I] is Q-positive for every partition I
+    for w in range(16):
+        for key in enumerate_partitions(w):
+            for r in range(1, 17 - w):
+                for k, c in _pieri(r, key, None, False).items():
+                    assert c > 0 and c & (c - 1) == 0, (r, key, k, c)
+
+
+def test_c1_powers_are_qtilde_positive():
+    for d in range(31):
+        assert min(expand_in_qtilde(c1 ** d).coeffs.values()) > 0, d

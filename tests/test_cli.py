@@ -75,6 +75,12 @@ def test_expand_renders_integers_of_any_size(capsys):
     assert get_limit() == limit
 
 
+def test_expand_of_one_generator_is_one_term(capsys):
+    for index in ("99999999999999999999", "40"):
+        code, out, err = run(capsys, "expand", f"c{index}")
+        assert (code, out, err) == (0, f"Q[{index}]\npositivity: nonnegative\n", "")
+
+
 def test_mul_command(capsys):
     code, out, _ = run(capsys, "mul", "1", "1", "--n", "2")
     assert (code, out) == (0, "2*S[2]\n")

@@ -102,8 +102,9 @@ def test_multiply_examples():
 
 
 def test_pieri_product_matches_free_module_path():
-    # two independent computations: the Pieri action against reducing the
-    # product of both lifts through the free-module expansion
+    # two paths: the Pieri action on S[J] against reducing the product of
+    # both lifts through the free-module expansion, which the basisconv
+    # tests check against the pivot-table solve
     for n in range(1, 6):
         ring = LGRing(n)
         keys = [
