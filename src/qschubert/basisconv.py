@@ -20,7 +20,7 @@ substitution in the unitriangular transition of each degree.
 
 from .partitions import partition
 from .qtilde import qtilde, qtilde_pair
-from .schubert import _split, _times
+from .schubert import _nonzero, _split, _times
 from .sympoly import Combination, SymPoly
 
 
@@ -106,7 +106,7 @@ def _expand(p: SymPoly, bound) -> dict:
     """p acting on Q[] as {I: coeff}, monomials sharing a prefix acted once."""
     memo = {(): {(): 1}}
     out = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.coeffs.items():
         k = len(mono)
         while mono[:k] not in memo:
             k -= 1
@@ -128,12 +128,12 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     if max_part is not None:
         if max_part < 1:
             raise ValueError(f"max_part must be positive, got {max_part}")
-        for key in p.terms:
+        for key in p.coeffs:
             if key and key[0] > max_part:
                 raise ValueError(
                     f"term {key} uses c{key[0]}, not representable with parts <= {max_part}"
                 )
-    return QExpansion(_expand(p, max_part))
+    return QExpansion._like(_nonzero(_expand(p, max_part)))
 
 
 def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
@@ -143,4 +143,5 @@ def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
     """
     if n < 1:
         raise ValueError(f"variable count must be positive, got {n}")
-    return ModuleExpansion({_split(i): c for i, c in _expand(p.truncate_parts(n), n).items()})
+    vec = _expand(p.truncate_parts(n), n)
+    return ModuleExpansion._like({_split(i): c for i, c in vec.items() if c})

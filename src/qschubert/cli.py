@@ -46,8 +46,8 @@ def _emit(*lines):
 
 
 def _poly_json(p) -> list:
-    return [{"monomial": list(k), "coefficient": p.terms[k]}
-            for k in sorted(p.terms, key=lambda k: (-sum(k), k))]
+    return [{"monomial": list(k), "coefficient": p.coeffs[k]}
+            for k in sorted(p.coeffs, key=p._order)]
 
 
 def _poly_command(build):

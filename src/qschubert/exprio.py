@@ -9,13 +9,18 @@ multiplication is always explicit, powers are nonnegative integer
 literals.  Errors carry a 1-based line and column.
 
 Elaboration replaces Q[I] by qtilde(I) and collects by t-power into a
-TPoly (a polynomial in t with SymPoly coefficients); in_qtilde_basis
-re-expands each t-power in the Q basis.
+TPoly, a polynomial in t with SymPoly coefficients.  TPoly is a
+sympoly.Combination keyed by the t-power, so its sum, product and
+powers are those of every other combination; only its coefficients are
+SymPoly values instead of ints.  in_qtilde_basis re-expands each
+t-power in the Q basis.
 """
+
+from operator import add
 
 from .basisconv import expand_in_qtilde
 from .qtilde import qtilde
-from .sympoly import SymPoly
+from .sympoly import Combination, SymPoly
 from .thomtables import TExpansion
 
 # each nesting level costs several interpreter stack frames; keep the
@@ -221,75 +226,44 @@ def parse(source: str):
     return node
 
 
-class TPoly:
-    """Polynomial in t whose coefficients are SymPoly values."""
+class TPoly(Combination):
+    """Polynomial in t whose coefficients are SymPoly values, keyed by the t-power."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+
+    parts = Combination.coeffs  # the same dict under its own name
+    _merge = staticmethod(add)  # t^i * t^j = t^(i+j)
 
     def __init__(self, parts=None):
-        clean = {}
-        for j, p in (parts or {}).items():
-            if j < 0:
-                raise ValueError(f"t-power must be nonnegative, got {j}")
-            if p:
-                clean[j] = clean.get(j, SymPoly.zero()) + p
-        self.parts = {j: p for j, p in clean.items() if p}
+        # an int coefficient stands for the constant SymPoly
+        super().__init__({j: SymPoly.const(p) if isinstance(p, int) else p
+                          for j, p in (parts or {}).items()})
+
+    @staticmethod
+    def _key(j):
+        if j < 0:
+            raise ValueError(f"t-power must be nonnegative, got {j}")
+        return j
 
     @classmethod
     def of(cls, p) -> "TPoly":
-        if isinstance(p, int):
-            p = SymPoly.const(p)
         return cls({0: p})
 
     @classmethod
     def t(cls) -> "TPoly":
-        return cls({1: SymPoly.one()})
+        return cls._like({1: SymPoly.one()})
 
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, TPoly):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __add__(self, other):
-        parts = dict(self.parts)
-        for j, p in other.parts.items():
-            parts[j] = parts.get(j, SymPoly.zero()) + p
-        return TPoly(parts)
-
-    def __neg__(self):
-        return TPoly({j: -p for j, p in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        parts = {}
-        for j1, p1 in self.parts.items():
-            for j2, p2 in other.parts.items():
-                j = j1 + j2
-                parts[j] = parts.get(j, SymPoly.zero()) + p1 * p2
-        return TPoly(parts)
-
-    def __pow__(self, exponent: int):
-        result = TPoly.of(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def _unit(self):
+        return TPoly.of(1)
 
     def constant_part(self) -> SymPoly:
         """The t^0 coefficient."""
-        return self.parts.get(0, SymPoly.zero())
+        return self.coeffs.get(0, SymPoly.zero())
 
     def __repr__(self):
-        return f"TPoly({self.parts})"
+        return f"TPoly({self.coeffs})"
+
+    __str__ = __repr__
 
 
 def elaborate(node) -> TPoly:
@@ -320,7 +294,7 @@ def elaborate(node) -> TPoly:
 def in_qtilde_basis(tp: TPoly, max_part=None) -> TExpansion:
     """Re-expand each t-power of a TPoly in the Q basis."""
     coeffs = {}
-    for j, p in tp.parts.items():
+    for j, p in tp.coeffs.items():
         for i, c in expand_in_qtilde(p, max_part).coeffs.items():
             coeffs[(i, j)] = c
     return TExpansion(coeffs)

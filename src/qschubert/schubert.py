@@ -94,7 +94,10 @@ class SchubertClass(Combination):
         return sum(key), key
 
     def _like(self, coeffs):
-        return SchubertClass(self.ring, coeffs)
+        new = object.__new__(SchubertClass)
+        new.ring = self.ring
+        new.coeffs = coeffs
+        return new
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -200,7 +203,7 @@ def _times(r: int, vec: dict, bound, strict: bool) -> dict:
 def _act(p: SymPoly, vec: dict, n: int) -> dict:
     """p acting on the Schubert vector vec, each ci acting as S[i]."""
     out = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.coeffs.items():
         if mono and mono[0] > n:
             continue  # ci = 0 in H*(LG(n)) for i > n
         v = vec
@@ -211,6 +214,11 @@ def _act(p: SymPoly, vec: dict, n: int) -> dict:
     return out
 
 
+def _nonzero(vec: dict) -> dict:
+    """vec without its zero sums: a Pieri-built result for the trusted _like."""
+    return {k: v for k, v in vec.items() if v}
+
+
 def reduce(p: SymPoly, ring: LGRing) -> SchubertClass:
     """Image of p in the quotient ring, in the Schubert basis.
 
@@ -218,7 +226,7 @@ def reduce(p: SymPoly, ring: LGRing) -> SchubertClass:
     i > n; the tests check it against the part of module_expand with
     trivial module coefficient.
     """
-    return SchubertClass(ring, _act(p, {(): 1}, ring.n))
+    return SchubertClass(ring)._like(_nonzero(_act(p, {(): 1}, ring.n)))
 
 
 def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
@@ -233,7 +241,7 @@ def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     for key, c in a.coeffs.items():
         for mu, x in _act(qtilde(key), b.coeffs, a.ring.n).items():
             out[mu] = out.get(mu, 0) + c * x
-    return SchubertClass(a.ring, out)
+    return a._like(_nonzero(out))
 
 
 def integrate(a: SchubertClass) -> int:

@@ -1,12 +1,22 @@
-"""Exact sparse polynomials in the graded generators c1, c2, ...
+"""Exact sparse integer combinations, and polynomials in c1, c2, ...
 
-SymPoly is the ring Z[c1, c2, ...] with deg(ci) = i.  A monomial is keyed
-by the weakly decreasing tuple of its generator indices, so (2, 2, 1)
-stands for c2^2*c1 and () for the constant monomial.  Under the usual
-isomorphism with symmetric functions, ci corresponds to the elementary
-symmetric function e_i, and XPoly gives the explicit expansion into
-variables x1..xn.  That expansion is the brute-force oracle used to
-cross-check every symbolic identity in this package.
+Combination is the one sparse combination type of the package: a dict
+from basis keys to nonzero coefficients with sum, difference, negation,
+integer scaling, rendering and, for ring types, the product of two
+combinations and powers.  A subclass states only its key rules: how a
+key is checked, ordered and rendered, and for a ring how two keys
+multiply.  Its subclasses here are
+
+  SymPoly   the ring Z[c1, c2, ...] with deg(ci) = i.  A monomial is
+            keyed by the weakly decreasing tuple of its generator
+            indices, so (2, 2, 1) stands for c2^2*c1 and () for 1.
+  XPoly     polynomials in explicit variables x1..xn, keyed by
+            exponent vectors.
+
+Under the usual isomorphism with symmetric functions, ci corresponds to
+the elementary symmetric function e_i, and evaluate gives the explicit
+expansion into x1..xn.  That expansion is the brute-force oracle used
+to cross-check every symbolic identity in this package.
 
 All coefficients are plain Python ints, so intermediate values never
 overflow.
@@ -18,160 +28,150 @@ from itertools import combinations, groupby
 from .partitions import partition
 
 
-def _merge(key1, key2):
-    # product of monomials: multiset union, kept sorted descending
-    return tuple(sorted(key1 + key2, reverse=True))
+def _by_degree(key):
+    """Degree descending, then ascending parts (descending lex on exponents)."""
+    return (-sum(key), key)
 
 
-class SymPoly:
-    """Integer polynomial in the generators c1, c2, ...
+class Combination:
+    """Sparse integer combination of basis elements, keyed by their index.
 
-    Example
-    -------
-    >>> c1, c2 = SymPoly.gen(1), SymPoly.gen(2)
-    >>> str(c1 ** 2 - 2 * c2)
-    'c1^2 - 2*c2'
+    Subclasses set ``_key`` (check and canonicalize one key), ``_order``
+    and ``_mono`` (rendering).  Ring types also set ``_merge`` (the key
+    of the product of two basis elements), ``_coerce`` (what else may
+    stand beside them in +, - and ==) and, where 1 does not coerce,
+    ``_unit``; types with more state override ``_like`` to carry it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, terms=None):
+    _key = staticmethod(partition)
+    _order = staticmethod(_by_degree)
+    _merge = None
+
+    def __init__(self, coeffs=None):
         clean = {}
-        for key, coeff in (terms or {}).items():
-            k = tuple(sorted(key, reverse=True))
-            if any(not isinstance(v, int) or v < 1 for v in k):
-                raise ValueError(f"generator indices must be positive integers, got {key!r}")
-            if coeff:
-                clean[k] = clean.get(k, 0) + coeff
-        self.terms = {k: v for k, v in clean.items() if v}
+        for key, c in (coeffs or {}).items():
+            k = self._key(key)
+            if c:
+                clean[k] = clean.get(k, 0) + c
+        self.coeffs = {k: v for k, v in clean.items() if v}
 
     @classmethod
-    def _raw(cls, terms):
-        # internal fast path: terms already canonical and zero-free
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
+    def _like(cls, coeffs):
+        """Trusted constructor: the keys are canonical, no coefficient is
+        zero, and the dict becomes the result's own."""
+        new = object.__new__(cls)
+        new.coeffs = coeffs
+        return new
 
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    def _coerce(self, other):
+        return other if type(other) is type(self) else NotImplemented
 
-    @classmethod
-    def one(cls):
-        return cls._raw({(): 1})
-
-    @classmethod
-    def gen(cls, i: int):
-        """The generator ci; c0 is understood as the constant 1."""
-        if i < 0:
-            raise ValueError(f"generator index must be nonnegative, got {i}")
-        return cls.one() if i == 0 else cls._raw({(i,): 1})
-
-    @classmethod
-    def const(cls, value: int):
-        return cls._raw({(): value} if value else {})
+    def _unit(self):
+        """The identity of the product."""
+        return self._coerce(1)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, SymPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({(): other} if other else {})
-        return NotImplemented
-
-    def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k, 0) + v
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        coeffs = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            s = coeffs.get(k, 0) + v
             if s:
-                terms[k] = s
+                coeffs[k] = s
             else:
-                del terms[k]
-        return SymPoly._raw(terms)
+                del coeffs[k]
+        return self._like(coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly._raw({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        return other + -self
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._like({k: v * other for k, v in self.coeffs.items()} if other else {})
+        other = self._coerce(other)
+        if other is NotImplemented or self._merge is None:
+            return NotImplemented
+        merge = self._merge
         out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = _merge(k1, k2)
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
+                k = merge(k1, k2)
                 s = out.get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return SymPoly._raw(out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = SymPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        result, base = self._unit(), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            e >>= 1
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
-    def coefficient(self, key) -> int:
-        return self.terms.get(tuple(sorted(key, reverse=True)), 0)
-
-    def degree(self) -> int:
-        """Weighted degree; the zero polynomial reports -1."""
-        return max((sum(k) for k in self.terms), default=-1)
-
-    def homogeneous_components(self) -> dict:
-        """Split by weighted degree, mapping degree -> SymPoly."""
-        comps = {}
-        for k, v in self.terms.items():
-            comps.setdefault(sum(k), {})[k] = v
-        return {d: SymPoly._raw(t) for d, t in sorted(comps.items())}
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(sum(k) == d for k in self.terms)
-
-    def truncate_parts(self, n: int):
-        """Image under ci -> 0 for i > n (restriction to n variables)."""
-        return SymPoly._raw({k: v for k, v in self.terms.items() if not k or k[0] <= n})
+    def lift(self, element) -> "SymPoly":
+        """The polynomial sum of coeff * element(key)."""
+        total = SymPoly.zero()
+        for key, c in self.coeffs.items():
+            total = total + element(key) * c
+        return total
 
     def __str__(self):
-        return render_terms(self.terms, _monomial_str)
+        if not self.coeffs:
+            return "0"
+        pieces = []
+        for key in sorted(self.coeffs, key=self._order):
+            coeff = self.coeffs[key]
+            mono = self._mono(key)
+            mag = abs(coeff)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+            if not pieces:
+                pieces.append(body if coeff > 0 else f"-{body}")
+            else:
+                pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+        return " ".join(pieces)
 
     def __repr__(self):
-        return f"SymPoly({self})"
-
-
-def _coerce(value):
-    if isinstance(value, SymPoly):
-        return value
-    if isinstance(value, int):
-        return SymPoly.const(value)
-    return NotImplemented
+        return f"{type(self).__name__}({self})"
 
 
 def _monomial_str(key):
@@ -182,201 +182,157 @@ def _monomial_str(key):
     return "*".join(factors)
 
 
-def _by_degree(key):
-    """Degree descending, then ascending parts (descending lex on exponents)."""
-    return (-sum(key), key)
+class SymPoly(Combination):
+    """Integer polynomial in the generators c1, c2, ...
 
-
-def render_terms(terms, monomial_str, sort_key=_by_degree) -> str:
-    """Canonical rendering shared by all term maps keyed by partitions."""
-    if not terms:
-        return "0"
-    pieces = []
-    for key in sorted(terms, key=sort_key):
-        coeff = terms[key]
-        mono = monomial_str(key)
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(pieces)
-
-
-class Combination:
-    """Sparse integer combination of basis elements, keyed by their index.
-
-    Subclasses set ``_key`` (check and canonicalize one key), ``_order``
-    and ``_mono`` (rendering), and ``_like`` if they carry more state.
+    Example
+    -------
+    >>> c1, c2 = SymPoly.gen(1), SymPoly.gen(2)
+    >>> str(c1 ** 2 - 2 * c2)
+    'c1^2 - 2*c2'
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    _key = staticmethod(partition)
-    _order = staticmethod(_by_degree)
+    terms = Combination.coeffs  # the same dict under the polynomial name
+    _mono = staticmethod(_monomial_str)
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            k = self._key(key)
-            if c:
-                clean[k] = clean.get(k, 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
+    @staticmethod
+    def _key(key):
+        k = tuple(sorted(key, reverse=True))
+        if any(not isinstance(v, int) or v < 1 for v in k):
+            raise ValueError(f"generator indices must be positive integers, got {key!r}")
+        return k
 
-    def _like(self, coeffs):
-        return type(self)(coeffs)
+    @staticmethod
+    def _merge(key1, key2):
+        # product of monomials: multiset union, kept sorted descending
+        return tuple(sorted(key1 + key2, reverse=True))
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _coerce(self, other):
+        if isinstance(other, SymPoly):
+            return other
+        return SymPoly.const(other) if isinstance(other, int) else NotImplemented
 
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+    @classmethod
+    def zero(cls):
+        return cls._like({})
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
-        return self._like(coeffs)
+    @classmethod
+    def one(cls):
+        return cls._like({(): 1})
 
-    def __rmul__(self, scalar: int):
-        return self._like({k: scalar * v for k, v in self.coeffs.items()})
+    @classmethod
+    def gen(cls, i: int):
+        """The generator ci; c0 is understood as the constant 1."""
+        if i < 0:
+            raise ValueError(f"generator index must be nonnegative, got {i}")
+        return cls.one() if i == 0 else cls._like({(i,): 1})
 
-    def lift(self, element) -> SymPoly:
-        """The polynomial sum of coeff * element(key)."""
-        total = SymPoly.zero()
-        for key, c in self.coeffs.items():
-            total = total + element(key) * c
-        return total
+    @classmethod
+    def const(cls, value: int):
+        return cls._like({(): value} if value else {})
 
-    def __str__(self):
-        return render_terms(self.coeffs, self._mono, self._order)
+    def coefficient(self, key) -> int:
+        return self.coeffs.get(tuple(sorted(key, reverse=True)), 0)
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
+    def degree(self) -> int:
+        """Weighted degree; the zero polynomial reports -1."""
+        return max((sum(k) for k in self.coeffs), default=-1)
+
+    def homogeneous_components(self) -> dict:
+        """Split by weighted degree, mapping degree -> SymPoly."""
+        comps = {}
+        for k, v in self.coeffs.items():
+            comps.setdefault(sum(k), {})[k] = v
+        return {d: self._like(t) for d, t in sorted(comps.items())}
+
+    def is_homogeneous(self, d: int) -> bool:
+        return all(sum(k) == d for k in self.coeffs)
+
+    def truncate_parts(self, n: int):
+        """Image under ci -> 0 for i > n (restriction to n variables)."""
+        return self._like({k: v for k, v in self.coeffs.items() if not k or k[0] <= n})
 
 
-class XPoly:
+class XPoly(Combination):
     """Integer polynomial in explicit variables x1..xn.
 
     Terms map exponent vectors (length-n tuples) to nonzero ints.  Used
     as the fully expanded oracle; simplicity is preferred over speed.
+    Values over different alphabets are never equal and do not mix.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+
+    terms = Combination.coeffs  # the same dict under the polynomial name
 
     def __init__(self, n: int, terms=None):
         if n < 1:
             raise ValueError(f"alphabet size must be positive, got {n}")
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            e = tuple(exp)
-            if len(e) != n or any(not isinstance(v, int) or v < 0 for v in e):
-                raise ValueError(f"bad exponent vector {exp!r} for {n} variables")
-            if coeff:
-                clean[e] = clean.get(e, 0) + coeff
         self.n = n
-        self.terms = {k: v for k, v in clean.items() if v}
+        super().__init__(terms)
 
-    @classmethod
-    def _raw(cls, n, terms):
-        p = object.__new__(cls)
-        p.n = n
-        p.terms = terms
-        return p
+    def _key(self, exp):
+        e = tuple(exp)
+        if len(e) != self.n or any(not isinstance(v, int) or v < 0 for v in e):
+            raise ValueError(f"bad exponent vector {exp!r} for {self.n} variables")
+        return e
+
+    @staticmethod
+    def _merge(e1, e2):
+        return tuple(a + b for a, b in zip(e1, e2))
+
+    def _like(self, coeffs):
+        new = object.__new__(XPoly)
+        new.n = self.n
+        new.coeffs = coeffs
+        return new
+
+    def _coerce(self, other):
+        if isinstance(other, XPoly):
+            if other.n != self.n:
+                raise ValueError(f"mixed alphabets: {self.n} vs {other.n}")
+            return other
+        if isinstance(other, int):
+            return self._like({(0,) * self.n: other} if other else {})
+        return NotImplemented
 
     @classmethod
     def zero(cls, n):
-        return cls._raw(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n):
-        return cls._raw(n, {(0,) * n: 1})
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError(f"mixed alphabets: {self.n} vs {other.n}")
-
-    def __bool__(self):
-        return bool(self.terms)
+        return cls(n, {(0,) * n: 1})
 
     def __eq__(self, other):
-        if isinstance(other, XPoly):
-            return self.n == other.n and self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({(0,) * self.n: other} if other else {})
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = XPoly._raw(self.n, {(0,) * self.n: other} if other else {})
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k, 0) + v
-            if s:
-                terms[k] = s
-            else:
-                del terms[k]
-        return XPoly._raw(self.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly._raw(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, XPoly) else -other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return XPoly.zero(self.n)
-            return XPoly._raw(self.n, {k: v * other for k, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return XPoly._raw(self.n, out)
-
-    __rmul__ = __mul__
+        if isinstance(other, XPoly) and other.n != self.n:
+            return False
+        return super().__eq__(other)
 
     def permuted(self, perm):
         """Apply the variable permutation x_i -> x_perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
         out = {}
-        for e, v in self.terms.items():
+        for e, v in self.coeffs.items():
             img = [0] * self.n
             for i, p in enumerate(perm):
                 img[p] = e[i]
             out[tuple(img)] = v
-        return XPoly._raw(self.n, out)
+        return self._like(out)
 
     def drop_last_var(self):
         """Set the last variable to zero and shrink the alphabet by one."""
         if self.n == 1:
             raise ValueError("cannot drop below one variable")
-        terms = {e[:-1]: v for e, v in self.terms.items() if e[-1] == 0}
-        return XPoly._raw(self.n - 1, terms)
+        return XPoly(self.n - 1, {e[:-1]: v for e, v in self.coeffs.items() if e[-1] == 0})
 
     def __repr__(self):
-        return f"XPoly(n={self.n}, {len(self.terms)} terms)"
+        return f"XPoly(n={self.n}, {len(self.coeffs)} terms)"
+
+    __str__ = __repr__
 
 
 @cache
@@ -394,7 +350,7 @@ def elementary(i: int, n: int) -> XPoly:
         for j in subset:
             exp[j] = 1
         terms[tuple(exp)] = 1
-    return XPoly._raw(n, terms)
+    return XPoly(n, terms)
 
 
 @cache
@@ -409,7 +365,7 @@ def evaluate(p: SymPoly, n: int) -> XPoly:
     if n < 1:
         raise ValueError(f"alphabet size must be positive, got {n}")
     total = XPoly.zero(n)
-    for key, coeff in p.terms.items():
+    for key, coeff in p.coeffs.items():
         total = total + _emonomial(key, n) * coeff
     return total
 
@@ -478,7 +434,7 @@ def subst(p: SymPoly, series: ChernSeries) -> SymPoly:
             f"series truncated at degree {series.bound}, need {p.degree()}"
         )
     total = SymPoly.zero()
-    for key, coeff in p.terms.items():
+    for key, coeff in p.coeffs.items():
         term = SymPoly.const(coeff)
         for part in key:
             term = term * series[part]

@@ -80,8 +80,20 @@ def test_tpoly_arithmetic():
     assert (t * t).parts == {2: SymPoly.one()}
     assert (t ** 3).parts == {3: SymPoly.one()}
     assert (p - p) == TPoly({})
+    assert t ** 0 == TPoly.of(1)
+    assert (0 * p).parts == {} and (p * 0).parts == {}
+    assert repr(t + t + p) == "TPoly({1: SymPoly(2), 0: SymPoly(c1)})"
+    assert str(TPoly()) == "TPoly({})"
+    assert TPoly({0: 5, 2: 0}).parts == {0: SymPoly.const(5)}
+    assert in_qtilde_basis(TPoly({1: 3})).coeffs == {((), 1): 3}
     with pytest.raises(ValueError):
         TPoly({-1: c1})
+    with pytest.raises(ValueError):
+        t ** -1
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p * c1
 
 
 def test_in_qtilde_basis():

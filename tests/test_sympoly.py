@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import elem_x, rand_sympoly, xp_mul, xp_of
+from helpers import elem_x, rand_sympoly, xp_add, xp_mul, xp_of
 from qschubert.sympoly import (
     ChernSeries,
     SymPoly,
@@ -55,6 +55,11 @@ def test_int_mixing_and_pow():
         assert p ** 3 == byhand
     with pytest.raises(ValueError):
         c1 ** -1
+    assert repr(c1 ** 2 - 2 * c2 + 3) == "SymPoly(c1^2 - 2*c2 + 3)"
+    assert repr(SymPoly.zero()) == "SymPoly(0)"
+    p = c2 * c1 - 2 * c3
+    assert (p * 0).terms == {} and (0 * p).terms == {}
+    assert p * 0 == SymPoly.zero() == 0 * p
 
 
 def test_degree_and_components():
@@ -104,8 +109,11 @@ def test_evaluate_is_ring_homomorphism():
         n = rng.randint(1, 4)
         p = rand_sympoly(rng, 6, 4, 3)
         q = rand_sympoly(rng, 6, 4, 3)
-        assert evaluate(p * q, n) == evaluate(p, n) * evaluate(q, n)
-        assert evaluate(p + q, n) == evaluate(p, n) + evaluate(q, n)
+        # SymPoly and XPoly share one product loop, so the expected side
+        # multiplies the exponent dicts independently
+        ep, eq = xp_of(evaluate(p, n)), xp_of(evaluate(q, n))
+        assert xp_of(evaluate(p * q, n)) == xp_mul(ep, eq)
+        assert xp_of(evaluate(p + q, n)) == xp_add(ep, eq)
 
 
 def test_evaluate_results_are_symmetric():
@@ -126,10 +134,19 @@ def test_xpoly_basics():
     assert a - a == XPoly.zero(2)
     assert (a + 1) - 1 == a
     assert 3 * a == XPoly(2, {(1, 0): 3})
+    assert 1 - a == XPoly(2, {(0, 0): 1, (1, 0): -1})
+    assert (1 - a) + a == 1
+    assert a * 0 == XPoly.zero(2) == 0 * a
+    assert repr(a + b) == "XPoly(n=2, 2 terms)"
+    assert str(XPoly.zero(3)) == "XPoly(n=3, 0 terms)"
     with pytest.raises(ValueError):
         XPoly(2, {(1,): 1})
+    other = XPoly(3, {(0, 0, 1): 1})
+    assert a != other and XPoly.zero(2) != XPoly.zero(3)
     with pytest.raises(ValueError):
-        a + XPoly(3, {(0, 0, 1): 1})
+        a + other
+    with pytest.raises(ValueError):
+        a * other
 
 
 def test_xpoly_drop_last_var():
