@@ -1,6 +1,7 @@
 """Change of basis into the Qtilde family.
 
-Two expansions are provided, both by the Q-Pieri rule of schubert:
+Two expansions are provided, both schubert._act applied to Q[] = 1 in
+the general (not strict) form of the Q-Pieri rule:
 
   expand_in_qtilde   P as an integer combination of Q[I] over partitions
                      with bounded parts (the additive basis).
@@ -8,19 +9,16 @@ Two expansions are provided, both by the Q-Pieri rule of schubert:
                      with I strict, the free-module basis over the
                      subring generated by the Q[i, i].
 
-Each monomial c_r1 * c_r2 * ... of P acts on Q[] = 1, one c_r at a
-time; c_r * Q[I] is a sum of Q[K] with coefficients powers of 2
-(Pragacz-Ratajski 1996), so no Q[I] is built and nothing is solved.
-With parts bounded by b, the Q[K] with K_1 > b are dropped, because
-they vanish once ci = 0 for i > b.  Q[J u mu u mu] equals
+No Q[I] is built and nothing is solved.  Q[J u mu u mu] equals
 (prod_k Q[m_k, m_k]) * Q[J] for J strict, so the free-module expansion
-is the bounded one, relabelled.  The tests check both against exact
-substitution in the unitriangular transition of each degree.
+is the one with parts bounded by n, relabelled by schubert._split.  The
+tests check both against exact substitution in the unitriangular
+transition of each degree.
 """
 
 from .partitions import partition
 from .qtilde import qtilde, qtilde_pair
-from .schubert import _nonzero, _split, _times
+from .schubert import _act, _split
 from .sympoly import Combination, SymPoly
 
 
@@ -102,22 +100,6 @@ class ModuleExpansion(Combination):
         return f"ModuleExpansion({{{body}}})"
 
 
-def _expand(p: SymPoly, bound) -> dict:
-    """p acting on Q[] as {I: coeff}, monomials sharing a prefix acted once."""
-    memo = {(): {(): 1}}
-    out = {}
-    for mono, c in p.coeffs.items():
-        k = len(mono)
-        while mono[:k] not in memo:
-            k -= 1
-        v = memo[mono[:k]]
-        for i in range(k, len(mono)):
-            v = memo[mono[:i + 1]] = _times(mono[i], v, bound, False)
-        for key, x in v.items():
-            out[key] = out.get(key, 0) + c * x
-    return out
-
-
 def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     """Write p as an integer combination of Q[I] with parts <= max_part.
 
@@ -133,15 +115,15 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
                 raise ValueError(
                     f"term {key} uses c{key[0]}, not representable with parts <= {max_part}"
                 )
-    return QExpansion._like(_nonzero(_expand(p, max_part)))
+    return QExpansion._like(_act(p.coeffs.items(), {(): 1}, max_part, False))
 
 
 def module_expand(p: SymPoly, n: int) -> ModuleExpansion:
     """Expand p in the free-module basis over the Q[i,i] subring.
 
-    p is first restricted to n variables (ci with i > n set to zero).
+    p is restricted to n variables: ci with i > n counts as zero.
     """
     if n < 1:
         raise ValueError(f"variable count must be positive, got {n}")
-    vec = _expand(p.truncate_parts(n), n)
-    return ModuleExpansion._like({_split(i): c for i, c in vec.items() if c})
+    vec = _act(p.coeffs.items(), {(): 1}, n, False)
+    return ModuleExpansion._like({_split(i): c for i, c in vec.items()})

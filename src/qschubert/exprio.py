@@ -16,6 +16,7 @@ SymPoly values instead of ints.  in_qtilde_basis re-expands each
 t-power in the Q basis.
 """
 
+import sys
 from operator import add
 
 from .basisconv import expand_in_qtilde
@@ -35,6 +36,15 @@ class ExprError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+def _int(digits: str, line, col) -> int:
+    """int(digits), or ExprError at (line, col) past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ExprError(f"integer literal of {len(digits)} digits exceeds the limit "
+                        f"of {sys.get_int_max_str_digits()} digits", line, col) from None
 
 
 class _Token:
@@ -64,11 +74,12 @@ def _tokenize(source: str):
             col += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < length and source[j].isdigit():
+            while j < length and source[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(source[i:j]), start_line, start_col))
+            tokens.append(_Token("int", _int(source[i:j], start_line, start_col),
+                                 start_line, start_col))
             col += j - i
             i = j
             continue
@@ -84,12 +95,12 @@ def _tokenize(source: str):
             continue
         if ch == "c":
             j = i + 1
-            while j < length and source[j].isdigit():
+            while j < length and source[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ExprError("generator needs a numeric index after 'c'",
                                 start_line, start_col)
-            k = int(source[i + 1:j])
+            k = _int(source[i + 1:j], start_line, start_col)
             if k < 1:
                 raise ExprError(f"generator index must be at least 1, got c{k}",
                                 start_line, start_col)
@@ -111,10 +122,10 @@ def _tokenize(source: str):
             if inner.strip():
                 for piece in inner.split(","):
                     piece = piece.strip()
-                    if not piece.isdigit():
+                    if not piece.isdecimal():
                         raise ExprError(f"bad partition entry {piece!r} in Q[...]",
                                         start_line, start_col)
-                    parts.append(int(piece))
+                    parts.append(_int(piece, start_line, start_col))
             if any(a < b for a, b in zip(parts, parts[1:])):
                 raise ExprError(f"parts not weakly decreasing in Q[{inner}]",
                                 start_line, start_col)

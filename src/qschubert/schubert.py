@@ -19,9 +19,10 @@ ordinary horizontal strip), and a(lam, mu) counts the columns c >= 1
 that hold a box of mu/lam while column c + 1 holds none.  Dropping
 strictness and the bound gives the Q-Pieri rule in the ring itself
 (Pragacz-Ratajski 1996): for J strict, c_r * Q[J u mu u mu] is the same
-sum of Q[K u mu u mu] over all K.  Both are one memoized rule,
-_pieri: reduction and products here run its strict form, and the
-expansions of basisconv its general form.
+sum of Q[K u mu u mu] over all K.  Both are one memoized rule, _pieri,
+and one loop, _act, applies a polynomial through it: reduction and
+products here run the strict form with parts <= n, and the expansions
+of basisconv the general form.
 """
 
 from functools import cache
@@ -191,32 +192,29 @@ def _pieri(r: int, key: tuple, bound, strict: bool) -> dict:
     return out
 
 
-def _times(r: int, vec: dict, bound, strict: bool) -> dict:
-    """c_r acting on vec, a combination {key: coeff}, by the Q-Pieri rule."""
-    out = {}
-    for key, x in vec.items():
-        for k, v in _pieri(r, key, bound, strict).items():
-            out[k] = out.get(k, 0) + x * v
-    return out
+def _act(terms, vec: dict, bound, strict: bool) -> dict:
+    """A polynomial, given by its (monomial, coeff) pairs, acting on vec.
 
-
-def _act(p: SymPoly, vec: dict, n: int) -> dict:
-    """p acting on the Schubert vector vec, each ci acting as S[i]."""
+    vec is a combination {key: coeff} in the Q basis.  Each monomial
+    acts one c_r at a time through _pieri(r, key, bound, strict); a
+    monomial whose largest generator exceeds bound is skipped, because
+    ci = 0 for i > bound (None means no bound).  Zero sums are dropped,
+    so the result is ready for the trusted _like.
+    """
     out = {}
-    for mono, c in p.coeffs.items():
-        if mono and mono[0] > n:
-            continue  # ci = 0 in H*(LG(n)) for i > n
+    for mono, c in terms:
+        if bound is not None and mono and mono[0] > bound:
+            continue
         v = vec
         for r in mono:
-            v = _times(r, v, n, True)
-        for mu, x in v.items():
-            out[mu] = out.get(mu, 0) + c * x
-    return out
-
-
-def _nonzero(vec: dict) -> dict:
-    """vec without its zero sums: a Pieri-built result for the trusted _like."""
-    return {k: v for k, v in vec.items() if v}
+            w = {}
+            for key, x in v.items():
+                for k, y in _pieri(r, key, bound, strict).items():
+                    w[k] = w.get(k, 0) + x * y
+            v = w
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def reduce(p: SymPoly, ring: LGRing) -> SchubertClass:
@@ -226,22 +224,22 @@ def reduce(p: SymPoly, ring: LGRing) -> SchubertClass:
     i > n; the tests check it against the part of module_expand with
     trivial module coefficient.
     """
-    return SchubertClass(ring)._like(_nonzero(_act(p, {(): 1}, ring.n)))
+    return SchubertClass(ring)._like(_act(p.coeffs.items(), {(): 1}, ring.n, True))
 
 
 def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Product in H*(LG(n)): each lift Q[I] of a acts on b by the Pieri rule.
+    """Product in H*(LG(n)): the lift of a, term by term, acts on b by the Pieri rule.
 
     The tests check it against reducing the product of both lifts through
     the free-module expansion.
     """
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
-    out = {}
-    for key, c in a.coeffs.items():
-        for mu, x in _act(qtilde(key), b.coeffs, a.ring.n).items():
-            out[mu] = out.get(mu, 0) + c * x
-    return a._like(_nonzero(out))
+    # the terms of every coeff * Q[I] as they come: summing them into
+    # a.lift() costs more than acting a repeated monomial twice
+    lift = ((m, c * x) for key, c in a.coeffs.items()
+            for m, x in qtilde(key).coeffs.items())
+    return a._like(_act(lift, b.coeffs, a.ring.n, True))
 
 
 def integrate(a: SchubertClass) -> int:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -45,9 +46,21 @@ def test_parse_errors_carry_position():
         parse("c1 +\n Q[1,2]")
     assert e.value.line == 2 and e.value.col == 2
     for text in ("", "c", "c0", "2t", "2 t", "$", "Q[2,]", "Q[1,2]", "Q",
-                 "Q[1", "c1^-2", "c1^t", "1 + ", "(1))", "*2", "Q[x]"):
+                 "Q[1", "c1^-2", "c1^t", "1 + ", "(1))", "*2", "Q[x]",
+                 "\u00b2", "c\u00b2", "Q[\u00b2]"):
         with pytest.raises(ExprError):
             parse(text)
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        if limit:
+            big = "7" * (limit + 1)
+            for text, col in ((f"c1 + {big}", 6), (f"c{big}", 1),
+                              (f"c1 +\n Q[{big}]", 2), (f"c1^{big}", 4)):
+                with pytest.raises(ExprError) as e:
+                    parse(text)
+                assert (e.value.line, e.value.col) == (text.count("\n") + 1, col)
+                assert f"{limit + 1} digits" in str(e.value)
+                assert f"limit of {limit} digits" in str(e.value)
 
 
 def test_no_implicit_multiplication():

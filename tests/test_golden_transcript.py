@@ -43,6 +43,9 @@ CLI_CASES = (
     ("expand", "(("),
     ("expand", "c3", "--max-part", "2"),
     ("expand", "c1^-2", "--json"),
+    ("expand", "Q[4,3,2,1]*Q[3,2,1]*c1^2"),
+    ("expand", "Q[4,3,2,1]*Q[3,2,1]*c1^2", "--json"),
+    ("expand", "Q[2,1]^2*c1 - t*Q[2,1]*c3", "--max-part", "3"),
     ("mul", "2", "1", "--n", "3"),
     ("mul", "2,1", "2,1", "--n", "3", "--json"),
     ("mul", "6,4,2", "5,3,1", "--n", "6"),

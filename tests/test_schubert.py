@@ -5,12 +5,13 @@ import time
 import pytest
 
 from helpers import rand_sympoly
-from qschubert.basisconv import QExpansion, module_expand
+from qschubert.basisconv import QExpansion, expand_in_qtilde, module_expand
 from qschubert.partitions import complement, enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
 from qschubert.schubert import (
     LGRing,
     SchubertClass,
+    _pieri,
     betti,
     dual,
     integrate,
@@ -237,3 +238,36 @@ def test_class_arithmetic():
     assert (a * 3).coeffs == {(1,): 3}
     with pytest.raises(ValueError):
         a + omega((1,), LGRing(3))
+
+
+def test_no_cached_pieri_value_is_mutated():
+    # _act reads the dicts _pieri shares with every caller; after a mix of
+    # all four callers, each cached value must still be the one _pieri made
+    _pieri.cache_clear()
+    c = [None] + [SymPoly.gen(i) for i in range(1, 6)]
+    q321 = qtilde((3, 2, 1))
+    expand_in_qtilde(q321 * c[1] + 2 * c[1] ** 3 * c[2] ** 2 - c[4] * c[3])
+    expand_in_qtilde(c[3] ** 2 * c[2] * c[1] - 2 * c[2] ** 3 + c[1] ** 9, 3)
+    module_expand(q321 * c[2] ** 2 + c[5] * c[2] - c[4] ** 2 * c[1] ** 2, 4)
+    for n in (4, 5):
+        ring = LGRing(n)
+        rng = random.Random(n)
+        for _ in range(6):
+            multiply(strict_classes(ring, rng, 3), strict_classes(ring, rng, 3))
+        reduce(q321 * c[1] ** 2 + c[5] * c[4] - 3 * c[2] ** 3, ring)
+    # expansions act to degree top with parts <= bound; products and
+    # reduce act ci with i <= n on every class of LG(n)
+    domain = [(r, key, bound, False)
+              for bound, top in ((None, 8), (3, 10), (4, 10))
+              for w in range(top)
+              for key in enumerate_partitions(w, bound)
+              for r in range(1, top - w + 1)]
+    domain += [(r, key, n, True)
+               for n in (4, 5)
+               for w in range(LGRing(n).dim + 1)
+               for key in enumerate_partitions(w, n, strict=True)
+               for r in range(1, n + 1)]
+    for args in domain:
+        assert _pieri(*args) == _pieri.__wrapped__(*args), args
+    # the domain covered every argument the mix cached
+    assert _pieri.cache_info().currsize == len(domain)
