@@ -21,7 +21,7 @@ import sys
 
 from .basisconv import qmono
 from .exprio import elaborate, in_qtilde_basis, parse
-from .partitions import parse_partition
+from .partitions import echo, parse_partition
 from .qtilde import qtilde, schur_q
 from .schubert import LGRing, betti, multiply, omega, pair
 from .thomtables import builtin_records, positivity_check, verify_record
@@ -136,6 +136,14 @@ def _cmd_verify_tables(args) -> int:
     return 0 if passed == len(reports) else 1
 
 
+def _int_arg(text: str) -> int:
+    """An integer option; argparse's message, naming a long text by its length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qschubert",
@@ -157,24 +165,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("expand", _cmd_expand, "expand an expression in the Q basis")
     p.add_argument("expr", help="expression over ck, Q[...], t, integers")
-    p.add_argument("--max-part", type=int, default=None, metavar="N",
+    p.add_argument("--max-part", type=_int_arg, default=None, metavar="N",
                    help="bound the parts of the expansion partitions")
 
     p = add("mul", _cmd_mul, "Schubert product in LG(n)")
     p.add_argument("i", help="first strict partition")
     p.add_argument("j", help="second strict partition")
-    p.add_argument("--n", type=int, required=True, help="rank of LG(n)")
+    p.add_argument("--n", type=_int_arg, required=True, help="rank of LG(n)")
 
     p = add("pair", _cmd_pair, "duality pairing in LG(n)")
     p.add_argument("i", help="first strict partition")
     p.add_argument("j", help="second strict partition")
-    p.add_argument("--n", type=int, required=True, help="rank of LG(n)")
+    p.add_argument("--n", type=_int_arg, required=True, help="rank of LG(n)")
 
     p = add("betti", _cmd_betti, "Betti numbers of LG(n)")
-    p.add_argument("--n", type=int, required=True, help="rank of LG(n)")
+    p.add_argument("--n", type=_int_arg, required=True, help="rank of LG(n)")
 
     p = add("verify-tables", _cmd_verify_tables, "check the built-in tables")
-    p.add_argument("--codim", type=int, default=None,
+    p.add_argument("--codim", type=_int_arg, default=None,
                    help="restrict to records of this codimension")
 
     return top

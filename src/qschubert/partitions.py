@@ -5,6 +5,8 @@ tuple is the empty partition.  Strict partitions (pairwise distinct parts)
 index the Schubert classes of the Lagrangian Grassmannian.
 """
 
+from operator import lt
+
 
 def partition(parts) -> tuple:
     """Canonicalize to a partition tuple: trailing zeros stripped.
@@ -18,7 +20,7 @@ def partition(parts) -> tuple:
             raise ValueError(f"partition parts must be nonnegative integers, got {v!r}")
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(p[k] < p[k + 1] for k in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"partition parts must be weakly decreasing, got {tuple(parts)!r}")
     return p
 
@@ -69,6 +71,18 @@ def enumerate_partitions(d: int, max_part=None, strict: bool = False) -> list:
     return out
 
 
+# error messages quote an argument up to this length and name the length
+# of a longer one
+_ECHO_LIMIT = 100
+
+
+def echo(text: str) -> str:
+    """An argument as an error message shows it: quoted, or by its length."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"an argument of {len(text)} characters"
+
+
 def parse_partition(text: str) -> tuple:
     """Parse the comma-separated syntax, e.g. "3,2,1"; "[]" is empty."""
     s = text.strip()
@@ -77,7 +91,7 @@ def parse_partition(text: str) -> tuple:
     try:
         parts = [int(tok) for tok in s.split(",")]
     except ValueError:
-        raise ValueError(f"cannot parse partition from {text!r}") from None
+        raise ValueError(f"cannot parse partition from {echo(text)}") from None
     return partition(parts)
 
 

@@ -14,8 +14,12 @@ along its first row,
 
 where a minor that ends in the padding zero is the Q of the same parts
 without it.  Each minor is again a cached Q[I], so all partitions share
-their sub-partitions.  `pfaffian` and `SkewMatrix` are the reference
-implementation that the tests compare against.
+their sub-partitions.  The builder also takes a bound b and then gives
+Q[I] with ci = 0 for i > b, the lift of a Schubert class of LG(b):
+setting those ci to 0 is a ring map, so it truncates the two-row
+entries before they multiply, and Q[I] is 0 outright when i_1 > b.
+`qtilde` is the unbounded case.  `pfaffian` and `SkewMatrix` are the
+reference implementation that the tests compare against.
 
 Schur Q-functions arise from the same family by substituting the Chern
 series of the virtual difference bundle for the generators.
@@ -102,18 +106,29 @@ def pfaffian(m: SkewMatrix):
 
 def qtilde(parts) -> SymPoly:
     """Q[I] for an arbitrary partition I, strict or not."""
-    return _qtilde(partition(parts))
+    return _qtilde(partition(parts), None)
 
 
 @cache
-def _qtilde(parts) -> SymPoly:
+def _qtilde(parts: tuple, bound) -> SymPoly:
+    """Q[parts] with ci = 0 for i > bound (None means no bound).
+
+    parts is a canonical partition.  Q[parts] is 0 when parts[0] > bound,
+    since every entry Q[i_1, i_k] of the first row has a factor c_(i_1+p)
+    with p >= 0 in each term.  Otherwise the two-row entries are truncated
+    before they multiply, because truncation is a ring map.
+
+    The result is shared by every caller and must not be mutated.
+    """
     h = len(parts)
     if h == 0:
         return SymPoly.one()
+    if bound is not None and parts[0] > bound:
+        return SymPoly.zero()
     if h == 1:
         return qtilde_one(parts[0])
     if h == 2:
-        return qtilde_pair(parts[0], parts[1])
+        return _pair(parts[0], parts[1], bound)
     idx = parts if h % 2 == 0 else parts + (0,)
     first, rest = idx[0], idx[1:]
     total = SymPoly.zero()
@@ -121,9 +136,15 @@ def _qtilde(parts) -> SymPoly:
         minor = rest[:pos] + rest[pos + 1:]
         if minor[-1] == 0:
             minor = minor[:-1]
-        term = qtilde_pair(first, q) * _qtilde(minor)
+        term = _pair(first, q, bound) * _qtilde(minor, bound)
         total = total + term if pos % 2 == 0 else total - term
     return total
+
+
+def _pair(i: int, j: int, bound) -> SymPoly:
+    """Q[i, j] with c_r = 0 for r > bound (None means no bound)."""
+    q = qtilde_pair(i, j)
+    return q if bound is None or i + j <= bound else q.truncate_parts(bound)
 
 
 def schur_q(parts) -> SymPoly:

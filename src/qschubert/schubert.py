@@ -23,13 +23,19 @@ sum of Q[K u mu u mu] over all K.  Both are one memoized rule, _pieri,
 and one loop, _act, applies a polynomial through it: reduction and
 products here run the strict form with parts <= n, and the expansions
 of basisconv the general form.
+
+A product S[I] * S[J] lifts only one factor, and only to Q[I] with
+ci = 0 for i > n (the truncated lift, built directly by the bounded
+Q builder): the ring is commutative, so the factor whose truncated
+lift has fewer terms is lifted and acts on the other.  A product whose
+degree |I| + |J| passes dim LG(n) is 0 before any lift is built.
 """
 
 from functools import cache
 from itertools import groupby
 
-from .partitions import complement, is_strict, partition
-from .qtilde import qtilde
+from .partitions import complement, partition
+from .qtilde import _qtilde, qtilde
 from .sympoly import Combination, SymPoly
 
 
@@ -83,7 +89,7 @@ class SchubertClass(Combination):
 
     def _key(self, key):
         k = partition(key)
-        if not is_strict(k):
+        if len(set(k)) != len(k):
             raise ValueError(f"Schubert index must be strict, got {k}")
         if k and k[0] > self.ring.n:
             raise ValueError(f"part {k[0]} exceeds n = {self.ring.n} in {k}")
@@ -136,7 +142,11 @@ class SchubertClass(Combination):
 
 def omega(parts, ring: LGRing) -> SchubertClass:
     """The basis class S[I] itself."""
-    return SchubertClass(ring, {partition(parts): 1})
+    # the index is checked once, by _key, and the class built as _like does
+    new = object.__new__(SchubertClass)
+    new.ring = ring
+    new.coeffs = {new._key(parts): 1}
+    return new
 
 
 def _split(key: tuple) -> tuple:
@@ -198,8 +208,10 @@ def _act(terms, vec: dict, bound, strict: bool) -> dict:
     vec is a combination {key: coeff} in the Q basis.  Each monomial
     acts one c_r at a time through _pieri(r, key, bound, strict); a
     monomial whose largest generator exceeds bound is skipped, because
-    ci = 0 for i > bound (None means no bound).  Zero sums are dropped,
-    so the result is ready for the trusted _like.
+    ci = 0 for i > bound (None means no bound).  Only reduce and the
+    expansions pass such monomials: the truncated lifts of multiply
+    have none.  Zero sums are dropped, so the result is ready for the
+    trusted _like.
     """
     out = {}
     for mono, c in terms:
@@ -228,18 +240,32 @@ def reduce(p: SymPoly, ring: LGRing) -> SchubertClass:
 
 
 def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Product in H*(LG(n)): the lift of a, term by term, acts on b by the Pieri rule.
+    """Product in H*(LG(n)) by the Pieri rule.
 
-    The tests check it against reducing the product of both lifts through
-    the free-module expansion.
+    The ring is commutative, so the factor whose truncated lift has
+    fewer terms is lifted: each coeff * Q[I] with ci = 0 for i > n,
+    term by term, acts on the other factor.  The product is 0 at once
+    when every pair of keys has |I| + |J| > dim LG(n).  The tests check
+    it against reducing the product of both lifts through the
+    free-module expansion.
     """
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
+    n = a.ring.n
+    if not a or not b or min(map(sum, a.coeffs)) + min(map(sum, b.coeffs)) > a.ring.dim:
+        return a._like({})
+    if _lift_size(b.coeffs, n) < _lift_size(a.coeffs, n):
+        a, b = b, a
     # the terms of every coeff * Q[I] as they come: summing them into
-    # a.lift() costs more than acting a repeated monomial twice
+    # one lift costs more than acting a repeated monomial twice
     lift = ((m, c * x) for key, c in a.coeffs.items()
-            for m, x in qtilde(key).coeffs.items())
-    return a._like(_act(lift, b.coeffs, a.ring.n, True))
+            for m, x in _qtilde(key, n).coeffs.items())
+    return a._like(_act(lift, b.coeffs, n, True))
+
+
+def _lift_size(coeffs: dict, n: int) -> int:
+    """Number of terms the truncated lifts of the keys of coeffs have."""
+    return sum(len(_qtilde(key, n).coeffs) for key in coeffs)
 
 
 def integrate(a: SchubertClass) -> int:
@@ -248,8 +274,16 @@ def integrate(a: SchubertClass) -> int:
 
 
 def pair(i_parts, j_parts, ring: LGRing) -> int:
-    """Integral of S[I]*S[J]; 1 exactly when J complements I in {1..n}."""
-    return integrate(multiply(omega(i_parts, ring), omega(j_parts, ring)))
+    """Integral of S[I]*S[J]; 1 exactly when J complements I in {1..n}.
+
+    The product is formed only when |I| + |J| = dim LG(n); otherwise it
+    has no component in the top degree.
+    """
+    a, b = omega(i_parts, ring), omega(j_parts, ring)
+    (i,), (j,) = a.coeffs, b.coeffs
+    if sum(i) + sum(j) != ring.dim:
+        return 0
+    return integrate(multiply(a, b))
 
 
 def betti(ring: LGRing) -> tuple:

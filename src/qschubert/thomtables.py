@@ -12,8 +12,6 @@ other, so a typo in either copy is caught.  Checks never raise; they
 produce report entries.
 """
 
-from dataclasses import dataclass, field
-
 from .basisconv import QExpansion, qmono
 from .partitions import is_strict, partition
 from .schubert import LGRing, SchubertClass
@@ -64,14 +62,35 @@ class TExpansion(Combination):
         ]
 
 
-@dataclass
-class ThomRecord:
+class _Record:
+    """A plain record: equal when of one type with equal fields, shown as
+    Type(field=value, ...) in the order of _fields."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ThomRecord(_Record):
     """One singularity type: name, codimension, and both expansions."""
 
-    name: str
-    codim: int
-    legendre: TExpansion
-    lagrange: QExpansion
+    _fields = ("name", "codim", "legendre", "lagrange")
+
+    def __init__(self, name: str, codim: int, legendre: TExpansion, lagrange: QExpansion):
+        self.name = name
+        self.codim = codim
+        self.legendre = legendre
+        self.lagrange = lagrange
 
     def json_obj(self) -> dict:
         return {
@@ -146,22 +165,26 @@ def builtin_records() -> list:
     ]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    violators: list = field(default_factory=list)
+class CheckResult(_Record):
+    _fields = ("name", "passed", "violators")
+
+    def __init__(self, name: str, passed: bool, violators=None):
+        self.name = name
+        self.passed = passed
+        self.violators = [] if violators is None else violators
 
     def json_obj(self) -> dict:
         return {"check": self.name, "passed": self.passed,
                 "violators": [repr(v) for v in self.violators]}
 
 
-@dataclass
-class RecordReport:
-    record_name: str
-    codim: int
-    checks: list
+class RecordReport(_Record):
+    _fields = ("record_name", "codim", "checks")
+
+    def __init__(self, record_name: str, codim: int, checks: list):
+        self.record_name = record_name
+        self.codim = codim
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -156,3 +156,31 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "expand", "c1^3 + 2*t*Q[2,1] - c2*c1")
     second = run(capsys, "expand", "c1^3 + 2*t*Q[2,1] - c2*c1")
     assert first == second
+
+
+def test_long_arguments_are_named_by_length(capsys):
+    sevens = "7" * 5000
+    code, out, err = run(capsys, "mul", sevens, "1", "--n", "3")
+    assert (code, out, err) == (
+        2, "", "error: cannot parse partition from an argument of 5000 characters\n")
+    for argv in (["mul", "1", "1", "--n", sevens],
+                 ["expand", "c1", "--max-part", sevens],
+                 ["verify-tables", "--codim", sevens]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.endswith(": invalid int value: an argument of 5000 characters\n"), argv
+        assert len(err) < 200, argv
+
+
+def test_short_argument_errors_quote_the_argument(capsys):
+    code, _, err = run(capsys, "qtilde", "x,1")
+    assert (code, err) == (2, "error: cannot parse partition from 'x,1'\n")
+    code, _, err = run(capsys, "pair", "1", "y" * 100, "--n", "3")
+    assert (code, err) == (2, f"error: cannot parse partition from '{'y' * 100}'\n")
+    code, _, err = run(capsys, "mul", "1", "1", "--n", "x")
+    assert code == 2
+    assert err.splitlines()[-1] == "qschubert mul: error: argument --n: invalid int value: 'x'"
+    code, _, err = run(capsys, "verify-tables", "--codim", "1.5")
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "qschubert verify-tables: error: argument --codim: invalid int value: '1.5'")

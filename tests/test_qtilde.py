@@ -132,8 +132,19 @@ def test_qtilde_recursion_matches_pfaffian():
     assert _qtilde.cache_info().currsize == 8
     misses = _qtilde.cache_info().misses
     for k in range(2, 17, 2):
-        _qtilde((1,) * k)
+        _qtilde((1,) * k, None)
     assert _qtilde.cache_info().misses == misses
+
+
+def test_bounded_builder_is_the_truncation():
+    # ci -> 0 for i > b is a ring map, so truncating the two-row entries
+    # inside the recursion gives the truncation of the whole Q[I]
+    for parts in all_partitions_up_to(12):
+        for b in range(1, 8):
+            assert _qtilde(parts, b) == qtilde(parts).truncate_parts(b), (parts, b)
+    # a first part above the bound leaves no term
+    assert _qtilde((5, 1, 1), 4) == 0
+    assert qtilde((5, 1, 1)).truncate_parts(4) == 0
 
 
 def test_padding_prepend_flips_sign():

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from helpers import rand_sympoly
+from helpers import pfaffian_qtilde, rand_sympoly
 from qschubert.basisconv import QExpansion, expand_in_qtilde, module_expand
 from qschubert.partitions import complement, enumerate_partitions
-from qschubert.qtilde import qtilde, qtilde_pair
+from qschubert.qtilde import _qtilde, qtilde, qtilde_pair
 from qschubert.schubert import (
     LGRing,
     SchubertClass,
@@ -121,13 +121,54 @@ def test_pieri_product_matches_free_module_path():
 
 
 def test_multiply_is_associative_and_commutative():
+    # multiply lifts the factor with the smaller truncated lift, so the
+    # two orders of a product can take different paths
     rng = random.Random(4)
-    for n in (2, 3):
+    for n in (2, 3, 5, 6):
         ring = LGRing(n)
         for _ in range(6):
-            a, b, c = (strict_classes(ring, rng) for _ in range(3))
+            a, b, c = (strict_classes(ring, rng, 3) for _ in range(3))
             assert multiply(a, b) == multiply(b, a)
             assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def test_top_products_give_the_point_class():
+    # the lift is Q[I] with ci = 0 for i > n; the top class of LG(n) is
+    # the product of its even and odd staircases
+    for n in range(9, 17):
+        ring = LGRing(n)
+        a = omega(tuple(range(n, 0, -2)), ring)
+        b = omega(tuple(range(n - 1, 0, -2)), ring)
+        assert multiply(a, b) == omega(ring.top, ring), n
+
+
+def test_random_pairings_follow_the_complement_rule():
+    rng = random.Random(10)
+    for n in (10, 11, 12):
+        ring = LGRing(n)
+        for _ in range(8):
+            i = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)), reverse=True))
+            dual_i = complement(i, n)
+            others = enumerate_partitions(sum(dual_i), max_part=n, strict=True)
+            for j in (dual_i, rng.choice(others), rng.choice(others)):
+                assert pair(i, j, ring) == (j == dual_i), (n, i, j)
+            # a degree other than dim gives 0 without forming the product
+            j = rng.choice(enumerate_partitions(rng.randint(0, ring.dim), max_part=n,
+                                                strict=True))
+            if sum(i) + sum(j) != ring.dim:
+                assert pair(i, j, ring) == 0
+
+
+def test_products_past_the_top_degree_are_zero_at_once():
+    ring = LGRing(20)
+    top = omega(ring.top, ring)
+    misses = _qtilde.cache_info().misses
+    # building the lift of a top class of LG(20) alone takes seconds, so
+    # the answer must come before any lift
+    assert multiply(top, top) == 0
+    assert multiply(top, SchubertClass(ring, {(1,): 2, (20, 1): -1})) == 0
+    assert _qtilde.cache_info().misses == misses
+    assert multiply(SchubertClass(ring), top) == 0
 
 
 def test_integrate():
@@ -241,9 +282,11 @@ def test_class_arithmetic():
 
 
 def test_no_cached_pieri_value_is_mutated():
-    # _act reads the dicts _pieri shares with every caller; after a mix of
-    # all four callers, each cached value must still be the one _pieri made
+    # _act reads the dicts _pieri and _qtilde share with every caller;
+    # after a mix of all four callers, each cached value must still be
+    # the one first made
     _pieri.cache_clear()
+    _qtilde.cache_clear()
     c = [None] + [SymPoly.gen(i) for i in range(1, 6)]
     q321 = qtilde((3, 2, 1))
     expand_in_qtilde(q321 * c[1] + 2 * c[1] ** 3 * c[2] ** 2 - c[4] * c[3])
@@ -271,3 +314,16 @@ def test_no_cached_pieri_value_is_mutated():
         assert _pieri(*args) == _pieri.__wrapped__(*args), args
     # the domain covered every argument the mix cached
     assert _pieri.cache_info().currsize == len(domain)
+    # the lifts: Q[I] unbounded, and truncated to ci with i <= n for the
+    # classes of LG(n)
+    lifts = [(key, None) for w in range(7) for key in enumerate_partitions(w)]
+    lifts += [(key, n)
+              for n in (4, 5)
+              for w in range(LGRing(n).dim + 1)
+              for key in enumerate_partitions(w, n, strict=True)]
+    for parts, bound in lifts:
+        expect = SymPoly.one() * pfaffian_qtilde(parts)  # Pf of () is the int 1
+        if bound is not None:
+            expect = expect.truncate_parts(bound)
+        assert _qtilde(parts, bound) == expect, (parts, bound)
+    assert _qtilde.cache_info().currsize == len(lifts)

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qschubert
 
 from qschubert.basisconv import QExpansion, expand_in_qtilde
 from qschubert.schubert import SchubertClass
 from qschubert.sympoly import SymPoly
 from qschubert.thomtables import (
+    CheckResult,
     TExpansion,
     ThomRecord,
     builtin_records,
@@ -207,3 +213,39 @@ def test_record_report_lines_on_failure():
     lines = report.lines()
     assert lines[0] == "X_0 (codim 1): FAIL"
     assert any("nonnegative" in line for line in lines[1:])
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are plain classes: dataclasses would pull in inspect,
+    # ast, dis and tokenize on every start of the command
+    src = os.path.dirname(os.path.dirname(qschubert.__file__))
+    code = ("import sys; before = set(sys.modules); import qschubert.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60).stdout
+    assert out == "[]\n"
+
+
+def test_record_classes_behave_as_records():
+    a2 = builtin_records()[0]
+    assert repr(verify_record(a2)) == (
+        "RecordReport(record_name='A_2', codim=1, checks=["
+        "CheckResult(name='nonnegative', passed=True, violators=[]), "
+        "CheckResult(name='homogeneous', passed=True, violators=[]), "
+        "CheckResult(name='lagrange_matches', passed=True, violators=[]), "
+        "CheckResult(name='strict_keys', passed=True, violators=[])])")
+    assert repr(a2) == ("ThomRecord(name='A_2', codim=1, legendre=TExpansion(Q[1]), "
+                        "lagrange=QExpansion(Q[1]))")
+    assert verify_record(a2) == verify_record(builtin_records()[0])
+    # each check owns its default violators list
+    first, second = CheckResult("x", False), CheckResult(name="x", passed=False)
+    first.violators.append(1)
+    assert second.violators == [] and first != second
+    assert first != ("x", False, [1])
+    copy = ThomRecord(name=a2.name, codim=a2.codim, legendre=a2.legendre,
+                      lagrange=a2.lagrange)
+    assert copy == a2
+    copy.codim = 2
+    assert copy != a2
+    with pytest.raises(TypeError):
+        hash(copy)
