@@ -16,7 +16,7 @@ tests check both against exact substitution in the unitriangular
 transition of each degree.
 """
 
-from .partitions import partition
+from .partitions import partition, shown
 from .qtilde import qtilde, qtilde_pair
 from .schubert import _act, _split
 from .sympoly import Combination, SymPoly
@@ -109,11 +109,12 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     """
     if max_part is not None:
         if max_part < 1:
-            raise ValueError(f"max_part must be positive, got {max_part}")
+            raise ValueError(f"max_part must be positive, got {shown(max_part)}")
         for key in p.coeffs:
             if key and key[0] > max_part:
                 raise ValueError(
-                    f"term {key} uses c{key[0]}, not representable with parts <= {max_part}"
+                    f"term {shown(key)} uses c{shown(key[0])}, "
+                    f"not representable with parts <= {shown(max_part)}"
                 )
     return QExpansion._like(_act(p.coeffs.items(), {(): 1}, max_part, False))
 

@@ -17,11 +17,13 @@ def partition(parts) -> tuple:
     p = tuple(parts)
     for v in p:
         if not isinstance(v, int) or v < 0:
-            raise ValueError(f"partition parts must be nonnegative integers, got {v!r}")
+            raise ValueError(
+                f"partition parts must be nonnegative integers, got {shown(repr(v))}")
     while p and p[-1] == 0:
         p = p[:-1]
     if any(map(lt, p, p[1:])):
-        raise ValueError(f"partition parts must be weakly decreasing, got {tuple(parts)!r}")
+        raise ValueError(
+            f"partition parts must be weakly decreasing, got {shown(repr(tuple(parts)))}")
     return p
 
 
@@ -71,8 +73,8 @@ def enumerate_partitions(d: int, max_part=None, strict: bool = False) -> list:
     return out
 
 
-# error messages quote an argument up to this length and name the length
-# of a longer one
+# error messages show an argument or a value up to this length and name
+# the length of a longer one
 _ECHO_LIMIT = 100
 
 
@@ -81,6 +83,14 @@ def echo(text: str) -> str:
     if len(text) <= _ECHO_LIMIT:
         return repr(text)
     return f"an argument of {len(text)} characters"
+
+
+def shown(value) -> str:
+    """A value as an error message shows it: whole, or by its length."""
+    text = str(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"<{len(text)} characters>"
 
 
 def parse_partition(text: str) -> tuple:

@@ -29,12 +29,16 @@ ci = 0 for i > n (the truncated lift, built directly by the bounded
 Q builder): the ring is commutative, so the factor whose truncated
 lift has fewer terms is lifted and acts on the other.  A product whose
 degree |I| + |J| passes dim LG(n) is 0 before any lift is built.
+Products are memoized by _product on the (key, coeff) pairs of both
+factors, so a repeated product is one lookup; like every value of
+_pieri and _qtilde, a cached product is shared and never mutated, and
+multiply hands out a copy.
 """
 
 from functools import cache
 from itertools import groupby
 
-from .partitions import complement, partition
+from .partitions import complement, partition, shown
 from .qtilde import _qtilde, qtilde
 from .sympoly import Combination, SymPoly
 
@@ -46,7 +50,7 @@ class LGRing:
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+            raise ValueError(f"n must be positive, got {shown(n)}")
         self.n = n
 
     @property
@@ -90,9 +94,10 @@ class SchubertClass(Combination):
     def _key(self, key):
         k = partition(key)
         if len(set(k)) != len(k):
-            raise ValueError(f"Schubert index must be strict, got {k}")
+            raise ValueError(f"Schubert index must be strict, got {shown(k)}")
         if k and k[0] > self.ring.n:
-            raise ValueError(f"part {k[0]} exceeds n = {self.ring.n} in {k}")
+            raise ValueError(
+                f"part {shown(k[0])} exceeds n = {shown(self.ring.n)} in {shown(k)}")
         return k
 
     @staticmethod
@@ -245,27 +250,39 @@ def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     The ring is commutative, so the factor whose truncated lift has
     fewer terms is lifted: each coeff * Q[I] with ci = 0 for i > n,
     term by term, acts on the other factor.  The product is 0 at once
-    when every pair of keys has |I| + |J| > dim LG(n).  The tests check
-    it against reducing the product of both lifts through the
-    free-module expansion.
+    when every pair of keys has |I| + |J| > dim LG(n).  The product is
+    memoized by _product on the (key, coeff) pairs of both factors, so
+    repeating it, whatever order the terms of a factor were added in,
+    is one lookup and a copy: the result owns its dict, and the cached
+    one is never mutated.  The tests check it against reducing the
+    product of both lifts through the free-module expansion.
     """
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
-    n = a.ring.n
-    if not a or not b or min(map(sum, a.coeffs)) + min(map(sum, b.coeffs)) > a.ring.dim:
-        return a._like({})
-    if _lift_size(b.coeffs, n) < _lift_size(a.coeffs, n):
+    return a._like(dict(_product(frozenset(a.coeffs.items()),
+                                 frozenset(b.coeffs.items()), a.ring.n)))
+
+
+@cache
+def _product(a: frozenset, b: frozenset, n: int) -> dict:
+    """multiply on canonical factors: a and b are the frozensets of the
+    (key, coeff) pairs of two classes of LG(n).
+
+    The result is shared by every caller and must not be mutated.
+    """
+    if not a or not b or min(sum(k) for k, _ in a) + min(sum(k) for k, _ in b) > LGRing(n).dim:
+        return {}
+    if _lift_size(b, n) < _lift_size(a, n):
         a, b = b, a
     # the terms of every coeff * Q[I] as they come: summing them into
     # one lift costs more than acting a repeated monomial twice
-    lift = ((m, c * x) for key, c in a.coeffs.items()
-            for m, x in _qtilde(key, n).coeffs.items())
-    return a._like(_act(lift, b.coeffs, n, True))
+    lift = ((m, c * x) for key, c in a for m, x in _qtilde(key, n).coeffs.items())
+    return _act(lift, dict(b), n, True)
 
 
-def _lift_size(coeffs: dict, n: int) -> int:
-    """Number of terms the truncated lifts of the keys of coeffs have."""
-    return sum(len(_qtilde(key, n).coeffs) for key in coeffs)
+def _lift_size(terms, n: int) -> int:
+    """Number of terms the truncated lifts of the keys of terms have."""
+    return sum(len(_qtilde(key, n).coeffs) for key, _ in terms)
 
 
 def integrate(a: SchubertClass) -> int:

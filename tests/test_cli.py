@@ -172,6 +172,32 @@ def test_long_arguments_are_named_by_length(capsys):
         assert len(err) < 200, argv
 
 
+def test_range_checks_name_long_values_by_length(capsys):
+    # these arguments parse, so the range checks report them; a value
+    # over 100 characters is named by its length, not echoed
+    sevens = "7" * 4000
+    cases = {
+        ("mul", sevens, "1", "--n", "3"):
+            "error: part <4000 characters> exceeds n = 3 in <4003 characters>\n",
+        ("pair", "1", "1", "--n", "-" + sevens):
+            "error: n must be positive, got <4001 characters>\n",
+        ("betti", "--n", "-" + sevens): "error: n must be positive, got <4001 characters>\n",
+        ("mul", ",".join(["1"] * 3000), "1", "--n", "3"):
+            "error: Schubert index must be strict, got <9000 characters>\n",
+        ("qtilde", "1," + sevens):
+            "error: partition parts must be weakly decreasing, got <4005 characters>\n",
+        ("expand", "c1", "--max-part", "-" + sevens):
+            "error: max_part must be positive, got <4001 characters>\n",
+        # the short forms are unchanged
+        ("mul", "4", "1", "--n", "3"): "error: part 4 exceeds n = 3 in (4,)\n",
+        ("mul", "1", "1", "--n", "0"): "error: n must be positive, got 0\n",
+    }
+    for argv, message in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv[:2]
+        assert len(err) < 200
+
+
 def test_short_argument_errors_quote_the_argument(capsys):
     code, _, err = run(capsys, "qtilde", "x,1")
     assert (code, err) == (2, "error: cannot parse partition from 'x,1'\n")

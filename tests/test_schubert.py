@@ -12,6 +12,7 @@ from qschubert.schubert import (
     LGRing,
     SchubertClass,
     _pieri,
+    _product,
     betti,
     dual,
     integrate,
@@ -130,6 +131,65 @@ def test_multiply_is_associative_and_commutative():
             a, b, c = (strict_classes(ring, rng, 3) for _ in range(3))
             assert multiply(a, b) == multiply(b, a)
             assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def test_memoized_products_match_the_uncached_product():
+    # the memo is keyed on the (key, coeff) pairs of each factor, so the
+    # order in which a factor's terms were added does not matter
+    rng = random.Random(18)
+    for n in range(1, 7):
+        ring = LGRing(n)
+        for _ in range(8):
+            a, b = strict_classes(ring, rng, 3), strict_classes(ring, rng, 4)
+            fresh = _product.__wrapped__(frozenset(a.coeffs.items()),
+                                         frozenset(b.coeffs.items()), n)
+            assert multiply(a, b).coeffs == fresh, (n, a, b)
+            reordered = SchubertClass(ring, dict(reversed(a.coeffs.items())))
+            assert multiply(reordered, b).coeffs == fresh, (n, a, b)
+
+
+def test_a_repeated_product_is_a_lookup_and_a_copy():
+    ring = LGRing(6)
+    a = SchubertClass(ring, {(3, 1): 1, (2,): 2, (5, 4): -1})
+    b = SchubertClass(ring, {(4, 2, 1): 1, (5,): -3})
+    first = multiply(a, b)
+    expect = dict(first.coeffs)
+    assert expect
+    # the result owns its dict: mutating it leaves the memo intact
+    first.coeffs.clear()
+    first.coeffs[(6,)] = 7
+    pieri, lifts = _pieri.cache_info().misses, _qtilde.cache_info().misses
+    hits = _product.cache_info().hits
+    assert multiply(a, b).coeffs == expect
+    assert multiply(SchubertClass(ring, dict(reversed(a.coeffs.items()))), b).coeffs == expect
+    # both repeats were answered by the memo, with no Pieri step or lift
+    assert _product.cache_info().hits == hits + 2
+    assert (_pieri.cache_info().misses, _qtilde.cache_info().misses) == (pieri, lifts)
+
+
+def test_structure_constants_are_nonnegative():
+    """Every Schubert structure constant of LG(n), n <= 8, is >= 0.
+
+    LG(n) is homogeneous under Sp(2n), so by Kleiman transversality
+    general translates of Schubert varieties meet properly, and the
+    coefficient of S[K] in S[I] * S[J] counts the points of a
+    transverse triple intersection: it cannot be negative.
+    """
+    for n in range(1, 9):
+        ring = LGRing(n)
+        keys = [k for d in range(ring.dim + 1)
+                for k in enumerate_partitions(d, max_part=n, strict=True)]
+        classes = [omega(k, ring) for k in keys]
+        count = 0
+        for x, (i, a) in enumerate(zip(keys, classes)):
+            for j, b in zip(keys[x:], classes[x:]):
+                if sum(i) + sum(j) > ring.dim:
+                    break  # keys run by ascending weight
+                ab = multiply(a, b)
+                assert ab == multiply(b, a), (n, i, j)
+                assert all(c > 0 for c in ab.coeffs.values()), (n, i, j, ab)
+                count += 1
+    assert count == 17082  # the products of LG(8)
 
 
 def test_top_products_give_the_point_class():
@@ -282,11 +342,13 @@ def test_class_arithmetic():
 
 
 def test_no_cached_pieri_value_is_mutated():
-    # _act reads the dicts _pieri and _qtilde share with every caller;
-    # after a mix of all four callers, each cached value must still be
-    # the one first made
+    # _act reads the dicts _pieri and _qtilde share with every caller,
+    # and multiply copies the products _product shares; after a mix of
+    # all four callers, each cached value must still be the one first made
     _pieri.cache_clear()
     _qtilde.cache_clear()
+    _product.cache_clear()
+    products = set()
     c = [None] + [SymPoly.gen(i) for i in range(1, 6)]
     q321 = qtilde((3, 2, 1))
     expand_in_qtilde(q321 * c[1] + 2 * c[1] ** 3 * c[2] ** 2 - c[4] * c[3])
@@ -296,7 +358,9 @@ def test_no_cached_pieri_value_is_mutated():
         ring = LGRing(n)
         rng = random.Random(n)
         for _ in range(6):
-            multiply(strict_classes(ring, rng, 3), strict_classes(ring, rng, 3))
+            a, b = strict_classes(ring, rng, 3), strict_classes(ring, rng, 3)
+            multiply(a, b)
+            products.add((frozenset(a.coeffs.items()), frozenset(b.coeffs.items()), n))
         reduce(q321 * c[1] ** 2 + c[5] * c[4] - 3 * c[2] ** 3, ring)
     # expansions act to degree top with parts <= bound; products and
     # reduce act ci with i <= n on every class of LG(n)
@@ -327,3 +391,7 @@ def test_no_cached_pieri_value_is_mutated():
             expect = expect.truncate_parts(bound)
         assert _qtilde(parts, bound) == expect, (parts, bound)
     assert _qtilde.cache_info().currsize == len(lifts)
+    # the products: each cached value still equals a fresh computation
+    for args in products:
+        assert _product(*args) == _product.__wrapped__(*args), args
+    assert _product.cache_info().currsize == len(products)
