@@ -100,6 +100,12 @@ class ModuleExpansion(Combination):
         return f"ModuleExpansion({{{body}}})"
 
 
+def check_max_part(max_part):
+    """Reject a part bound below 1; None stands for no bound."""
+    if max_part is not None and max_part < 1:
+        raise ValueError(f"max_part must be positive, got {shown(max_part)}")
+
+
 def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     """Write p as an integer combination of Q[I] with parts <= max_part.
 
@@ -107,9 +113,8 @@ def expand_in_qtilde(p: SymPoly, max_part=None) -> QExpansion:
     degree.  With a finite bound, p must already live in the subring on
     c1..c_max_part; a generator outside it is rejected.
     """
+    check_max_part(max_part)
     if max_part is not None:
-        if max_part < 1:
-            raise ValueError(f"max_part must be positive, got {shown(max_part)}")
         for key in p.coeffs:
             if key and key[0] > max_part:
                 raise ValueError(

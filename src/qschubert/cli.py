@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .basisconv import qmono
+from .basisconv import check_max_part, qmono
 from .exprio import elaborate, in_qtilde_basis, parse
 from .partitions import echo, parse_partition
 from .qtilde import qtilde, schur_q
@@ -64,6 +64,7 @@ def _poly_command(build):
 
 
 def _cmd_expand(args) -> int:
+    check_max_part(args.max_part)
     texp = in_qtilde_basis(elaborate(parse(args.expr)), args.max_part)
     nonnegative, negatives = positivity_check(texp)
     if args.json:

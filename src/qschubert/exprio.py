@@ -8,6 +8,11 @@ and the variable t.  Operators are + - * ^ with the usual precedence
 multiplication is always explicit, powers are nonnegative integer
 literals.  Errors carry a 1-based line and column.
 
+Positions are offsets into the source, turned into a line and a column
+only when _fail raises.  One compiled pattern tokenizes the whole source,
+one match per token, before parsing starts, so a bad character is reported
+ahead of a grammar error: "(1))$" names the '$' at col 5, not ')' at col 4.
+
 Elaboration replaces Q[I] by qtilde(I) and collects by t-power into a
 TPoly, a polynomial in t with SymPoly coefficients.  TPoly is a
 sympoly.Combination keyed by the t-power, so its sum, product and
@@ -16,10 +21,11 @@ SymPoly values instead of ints.  in_qtilde_basis re-expands each
 t-power in the Q basis.
 """
 
+import re
 import sys
-from operator import add
+from operator import add, mul, sub
 
-from .basisconv import expand_in_qtilde
+from .basisconv import check_max_part, expand_in_qtilde
 from .qtilde import qtilde
 from .sympoly import Combination, SymPoly
 from .thomtables import TExpansion
@@ -27,6 +33,13 @@ from .thomtables import TExpansion
 # each nesting level costs several interpreter stack frames; keep the
 # cap far below the default recursion limit
 _MAX_DEPTH = 100
+
+# one alternative per token kind.  Every character but whitespace starts a
+# match, so finditer skips exactly the whitespace between tokens; \d and \S
+# agree with str.isdecimal and str.isspace.  A Q token runs to its ']', or
+# to the end of the source when there is none.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<gen>c\d*)|(?P<q>Q(?:\[[^\]]*\]?)?)"
+                    r"|(?P<op>[-+*^()t])|(?P<bad>\S)")
 
 
 class ExprError(ValueError):
@@ -38,105 +51,63 @@ class ExprError(ValueError):
         self.col = col
 
 
-def _int(digits: str, line, col) -> int:
-    """int(digits), or ExprError at (line, col) past the interpreter's digit limit."""
+def _fail(source: str, message: str, offset: int):
+    """Raise ExprError at the line and column of source[offset]."""
+    line_start = source.rfind("\n", 0, offset)  # -1 on the first line
+    raise ExprError(message, source.count("\n", 0, offset) + 1, offset - line_start)
+
+
+def _int(digits: str, source: str, offset: int) -> int:
+    """int(digits), or ExprError at offset past the interpreter's digit limit."""
     try:
         return int(digits)
     except ValueError:
-        raise ExprError(f"integer literal of {len(digits)} digits exceeds the limit "
-                        f"of {sys.get_int_max_str_digits()} digits", line, col) from None
+        _fail(source, f"integer literal of {len(digits)} digits exceeds the limit "
+                      f"of {sys.get_int_max_str_digits()} digits", offset)
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+def _parts(text: str, source: str, offset: int) -> tuple:
+    """The partition of a Q token's text "Q[...]", trailing zeros dropped."""
+    if text == "Q":
+        _fail(source, "'Q' must be followed by '[parts]'", offset)
+    if text[-1] != "]":
+        _fail(source, "unterminated 'Q[' bracket", offset)
+    inner = text[2:-1]
+    if "\n" in inner:
+        _fail(source, "newline inside 'Q[...]'", offset)
+    parts = []
+    if inner.strip():
+        for piece in inner.split(","):
+            piece = piece.strip()
+            if not piece.isdecimal():
+                _fail(source, f"bad partition entry {piece!r} in Q[...]", offset)
+            parts.append(_int(piece, source, offset))
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        _fail(source, f"parts not weakly decreasing in Q[{inner}]", offset)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
 
-
-def _tokenize(source: str):
+def _tokenize(source: str) -> list:
+    """(kind, value, offset) per token, the last of kind "end"; an operator is its own kind."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdecimal():
-            j = i
-            while j < length and source[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", _int(source[i:j], start_line, start_col),
-                                 start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "t":
-            tokens.append(_Token("t", None, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "c":
-            j = i + 1
-            while j < length and source[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ExprError("generator needs a numeric index after 'c'",
-                                start_line, start_col)
-            k = _int(source[i + 1:j], start_line, start_col)
-            if k < 1:
-                raise ExprError(f"generator index must be at least 1, got c{k}",
-                                start_line, start_col)
-            tokens.append(_Token("gen", k, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "Q":
-            if i + 1 >= length or source[i + 1] != "[":
-                raise ExprError("'Q' must be followed by '[parts]'",
-                                start_line, start_col)
-            j = source.find("]", i + 2)
-            if j < 0:
-                raise ExprError("unterminated 'Q[' bracket", start_line, start_col)
-            inner = source[i + 2:j]
-            if "\n" in inner:
-                raise ExprError("newline inside 'Q[...]'", start_line, start_col)
-            parts = []
-            if inner.strip():
-                for piece in inner.split(","):
-                    piece = piece.strip()
-                    if not piece.isdecimal():
-                        raise ExprError(f"bad partition entry {piece!r} in Q[...]",
-                                        start_line, start_col)
-                    parts.append(_int(piece, start_line, start_col))
-            if any(a < b for a, b in zip(parts, parts[1:])):
-                raise ExprError(f"parts not weakly decreasing in Q[{inner}]",
-                                start_line, start_col)
-            while parts and parts[-1] == 0:
-                parts.pop()
-            tokens.append(_Token("q", tuple(parts), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("end", None, line, col))
+    for m in _TOKEN.finditer(source):
+        kind, value, offset = m.lastgroup, m[0], m.start()
+        if kind == "int":
+            value = _int(value, source, offset)
+        elif kind == "gen":
+            if value == "c":
+                _fail(source, "generator needs a numeric index after 'c'", offset)
+            value = _int(value[1:], source, offset)
+            if value < 1:
+                _fail(source, f"generator index must be at least 1, got c{value}", offset)
+        elif kind == "q":
+            value = _parts(value, source, offset)
+        elif kind == "bad":
+            _fail(source, f"unexpected character {value!r}", offset)
+        tokens.append((value if kind == "op" else kind, value, offset))
+    tokens.append(("end", None, len(source)))
     return tokens
 
 
@@ -147,22 +118,18 @@ class _Parser:
     ("add"|"sub"|"mul", a, b), ("pow", a, k), ("neg", a).
     """
 
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+    def __init__(self, source):
+        self.source, self.depth = source, 0
+        self.tokens = _tokenize(source)[::-1]  # the next token is the last
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[-1][0]
 
     def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        return self.tokens.pop()
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ExprError(message, tok.line, tok.col)
+        _fail(self.source, message, (tok or self.tokens[-1])[2])
 
     def enter(self):
         self.depth += 1
@@ -171,21 +138,19 @@ class _Parser:
 
     def sum(self):
         node = self.prod()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.prod()
-            node = ("add" if op == "+" else "sub", node, rhs)
+        while self.peek() in ("+", "-"):
+            node = ("add" if self.take()[0] == "+" else "sub", node, self.prod())
         return node
 
     def prod(self):
         node = self.unary()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take()
             node = ("mul", node, self.unary())
         return node
 
     def unary(self):
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.enter()
             self.take()
             node = ("neg", self.unary())
@@ -195,45 +160,39 @@ class _Parser:
 
     def power(self):
         node = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
-            tok = self.peek()
-            if tok.kind == "-":
+            if self.peek() == "-":
                 self.fail("exponent must be a nonnegative integer")
-            if tok.kind != "int":
+            if self.peek() != "int":
                 self.fail("expected an integer exponent after '^'")
-            self.take()
-            node = ("pow", node, tok.value)
+            node = ("pow", node, self.take()[1])
         return node
 
     def atom(self):
         tok = self.take()
-        if tok.kind == "int":
-            return ("int", tok.value)
-        if tok.kind == "gen":
-            return ("gen", tok.value)
-        if tok.kind == "t":
+        kind = tok[0]
+        if kind in ("int", "gen", "q"):
+            return tok[:2]
+        if kind == "t":
             return ("t",)
-        if tok.kind == "q":
-            return ("q", tok.value)
-        if tok.kind == "(":
+        if kind == "(":
             self.enter()
             node = self.sum()
             closing = self.take()
-            if closing.kind != ")":
+            if closing[0] != ")":
                 self.fail("expected ')'", closing)
             self.depth -= 1
             return node
-        self.fail("expected a value" if tok.kind != "end" else "unexpected end of input", tok)
+        self.fail("expected a value" if kind != "end" else "unexpected end of input", tok)
 
 
 def parse(source: str):
     """Parse source text into an AST; raises ExprError with position."""
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     node = parser.sum()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail("unexpected trailing input", trailing)
+    if parser.peek() != "end":
+        parser.fail("unexpected trailing input")
     return node
 
 
@@ -277,35 +236,39 @@ class TPoly(Combination):
     __str__ = __repr__
 
 
+_FOLD = {"add": add, "sub": sub, "mul": mul}
+
+
 def elaborate(node) -> TPoly:
     """Evaluate an AST into a TPoly, expanding Q[I] via qtilde."""
+    # the parser nests a chain of sums and products to the left: walk that
+    # spine in a loop; the right operands nest at most _MAX_DEPTH deep
+    spine = []
+    while node[0] in _FOLD:
+        spine.append(node)
+        node = node[1]
     kind = node[0]
     if kind == "int":
-        return TPoly.of(node[1])
-    if kind == "gen":
-        return TPoly.of(SymPoly.gen(node[1]))
-    if kind == "t":
-        return TPoly.t()
-    if kind == "q":
-        return TPoly.of(qtilde(node[1]))
-    if kind == "neg":
-        return -elaborate(node[1])
-    if kind == "pow":
-        return elaborate(node[1]) ** node[2]
-    a, b = elaborate(node[1]), elaborate(node[2])
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown node kind {kind!r}")
+        value = TPoly.of(node[1])
+    elif kind == "gen":
+        value = TPoly.of(SymPoly.gen(node[1]))
+    elif kind == "t":
+        value = TPoly.t()
+    elif kind == "q":
+        value = TPoly.of(qtilde(node[1]))
+    elif kind == "neg":
+        value = -elaborate(node[1])
+    elif kind == "pow":
+        value = elaborate(node[1]) ** node[2]
+    else:
+        raise ValueError(f"unknown node kind {kind!r}")
+    for kind, _, rhs in reversed(spine):
+        value = _FOLD[kind](value, elaborate(rhs))
+    return value
 
 
 def in_qtilde_basis(tp: TPoly, max_part=None) -> TExpansion:
     """Re-expand each t-power of a TPoly in the Q basis."""
-    coeffs = {}
-    for j, p in tp.coeffs.items():
-        for i, c in expand_in_qtilde(p, max_part).coeffs.items():
-            coeffs[(i, j)] = c
-    return TExpansion(coeffs)
+    check_max_part(max_part)
+    return TExpansion({(i, j): c for j, p in tp.coeffs.items()
+                       for i, c in expand_in_qtilde(p, max_part).coeffs.items()})

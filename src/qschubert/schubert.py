@@ -126,7 +126,7 @@ class SchubertClass(Combination):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.__rmul__(other)
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, SchubertClass) else NotImplemented
 
     def lift(self) -> SymPoly:
         """A polynomial representative: sum of coeff * qtilde(I)."""

@@ -57,6 +57,13 @@ def test_expand_errors(capsys):
     assert code == 2 and "not representable" in err
 
 
+def test_expand_checks_max_part_before_any_work(capsys):
+    # a bound below 1 is rejected before parsing, whatever the expression
+    for expr in ("0", "1", "(c1+c2)^99999", "(("):
+        code, out, err = run(capsys, "expand", expr, "--max-part", "0")
+        assert (code, out, err) == (2, "", "error: max_part must be positive, got 0\n"), expr
+
+
 def test_expand_renders_integers_of_any_size(capsys):
     # 2^99999 has 30103 digits, past the interpreter's default int->str limit
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)

@@ -45,11 +45,6 @@ def test_parse_errors_carry_position():
     with pytest.raises(ExprError) as e:
         parse("c1 +\n Q[1,2]")
     assert e.value.line == 2 and e.value.col == 2
-    for text in ("", "c", "c0", "2t", "2 t", "$", "Q[2,]", "Q[1,2]", "Q",
-                 "Q[1", "c1^-2", "c1^t", "1 + ", "(1))", "*2", "Q[x]",
-                 "\u00b2", "c\u00b2", "Q[\u00b2]"):
-        with pytest.raises(ExprError):
-            parse(text)
     if hasattr(sys, "get_int_max_str_digits"):
         limit = sys.get_int_max_str_digits()
         if limit:
@@ -61,6 +56,42 @@ def test_parse_errors_carry_position():
                 assert (e.value.line, e.value.col) == (text.count("\n") + 1, col)
                 assert f"{limit + 1} digits" in str(e.value)
                 assert f"limit of {limit} digits" in str(e.value)
+
+
+# the exact message, line and column of each kind of parse error
+PARSE_ERRORS = (
+    ('', 'unexpected end of input', 1, 1),
+    ('c', "generator needs a numeric index after 'c'", 1, 1),
+    ('c0', 'generator index must be at least 1, got c0', 1, 1),
+    ('2t', 'unexpected trailing input', 1, 2),
+    ('2 t', 'unexpected trailing input', 1, 3),
+    ('$', "unexpected character '$'", 1, 1),
+    ('Q[2,]', "bad partition entry '' in Q[...]", 1, 1),
+    ('Q[1,2]', 'parts not weakly decreasing in Q[1,2]', 1, 1),
+    ('Q', "'Q' must be followed by '[parts]'", 1, 1),
+    ('Q[1', "unterminated 'Q[' bracket", 1, 1),
+    ('c1^-2', 'exponent must be a nonnegative integer', 1, 4),
+    ('c1^t', "expected an integer exponent after '^'", 1, 4),
+    ('1 + ', 'unexpected end of input', 1, 5),
+    ('(1))', 'unexpected trailing input', 1, 4),
+    ('*2', 'expected a value', 1, 1),
+    ('Q[x]', "bad partition entry 'x' in Q[...]", 1, 1),
+    ('\u00b2', "unexpected character '\u00b2'", 1, 1),
+    ('c\u00b2', "generator needs a numeric index after 'c'", 1, 1),
+    ('Q[\u00b2]', "bad partition entry '\u00b2' in Q[...]", 1, 1),
+    ('1 +\n\n  $', "unexpected character '$'", 3, 3),
+    ('Q[1\n]', "newline inside 'Q[...]'", 1, 1),
+    ('Q[3,\n1]', "newline inside 'Q[...]'", 1, 1),
+    ('(1))$', "unexpected character '$'", 1, 5),
+)
+
+
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS)
+def test_parse_errors_are_pinned(text, message, line, col):
+    with pytest.raises(ExprError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line, e.value.col) == (
+        f"line {line}, col {col}: {message}", line, col)
 
 
 def test_no_implicit_multiplication():
@@ -156,3 +187,18 @@ def test_deep_nesting_is_rejected_not_crashed():
         parse("-" * 2000 + "1")
     # moderately deep input still parses
     assert const(parse("(" * 50 + "1" + ")" * 50)) == 1
+
+
+def test_flat_chains_of_any_length_elaborate():
+    # the parser nests a chain to the left; elaborate folds it in a loop
+    assert elaborate(parse("+".join(["c1"] * 5000))).constant_part() == 5000 * c1
+    assert const(parse("-".join(["2"] * 3000))) == -5996
+    assert elaborate(parse("*".join(["t"] * 3000))).parts == {3000: SymPoly.one()}
+    chain = elaborate(parse("1 + " + "*".join(["c1"] * 5 + ["t"])))
+    assert chain == elaborate(parse("1 + c1^5*t"))
+    assert in_qtilde_basis(chain).coeffs[((5,), 1)] == 16
+
+
+def test_in_qtilde_basis_checks_the_bound_first():
+    with pytest.raises(ValueError, match="max_part must be positive, got 0"):
+        in_qtilde_basis(TPoly({}), max_part=0)

@@ -339,6 +339,18 @@ def test_class_arithmetic():
     assert (a * 3).coeffs == {(1,): 3}
     with pytest.raises(ValueError):
         a + omega((1,), LGRing(3))
+    assert a * a == multiply(a, a)
+    with pytest.raises(ValueError):
+        a * omega((1,), LGRing(3))
+
+
+def test_a_class_times_a_non_class_is_a_type_error():
+    w = omega((1,), LGRing(2))
+    for other in (c1, 1.5, "x", None):
+        with pytest.raises(TypeError):
+            w * other
+        with pytest.raises(TypeError):
+            other * w
 
 
 def test_no_cached_pieri_value_is_mutated():
