@@ -14,12 +14,15 @@ along its first row,
 
 where a minor that ends in the padding zero is the Q of the same parts
 without it.  Each minor is again a cached Q[I], so all partitions share
-their sub-partitions.  The builder also takes a bound b and then gives
-Q[I] with ci = 0 for i > b, the lift of a Schubert class of LG(b):
-setting those ci to 0 is a ring map, so it truncates the two-row
-entries before they multiply, and Q[I] is 0 outright when i_1 > b.
-`qtilde` is the unbounded case.  `pfaffian` and `SkewMatrix` are the
-reference implementation that the tests compare against.
+their sub-partitions.  The r entries equal to i_1 lead the row and give
+r copies of one product with signs +, -, +, ..., so they leave it once
+when r is odd and cancel when r is even: the loop starts past them.
+The builder also takes a bound b and then gives Q[I] with ci = 0 for
+i > b, the lift of a Schubert class of LG(b): setting those ci to 0 is
+a ring map, so it truncates the two-row entries before they multiply,
+and Q[I] is 0 outright when i_1 > b.  `qtilde` is the unbounded case.
+`pfaffian` and `SkewMatrix` are the reference implementation that the
+tests compare against.
 
 Schur Q-functions arise from the same family by substituting the Chern
 series of the virtual difference bundle for the generators.
@@ -44,11 +47,10 @@ def qtilde_pair(i: int, j: int) -> SymPoly:
     """Two-row case for i >= j >= 0."""
     if j < 0 or i < j:
         raise ValueError(f"indices must satisfy i >= j >= 0, got ({i}, {j})")
-    total = qtilde_one(i) * qtilde_one(j)
+    terms = [(1, qtilde_one(i), qtilde_one(j))]
     for p in range(1, j + 1):
-        term = 2 * qtilde_one(i + p) * qtilde_one(j - p)
-        total = total - term if p % 2 else total + term
-    return total
+        terms.append((-2 if p % 2 else 2, qtilde_one(i + p), qtilde_one(j - p)))
+    return SymPoly.zero()._sum_of_products(terms)
 
 
 class SkewMatrix:
@@ -118,6 +120,9 @@ def _qtilde(parts: tuple, bound) -> SymPoly:
     with p >= 0 in each term.  Otherwise the two-row entries are truncated
     before they multiply, because truncation is a ring map.
 
+    The entries k = 2..r+1 with i_k = i_1 are all Q[i_1, i_1], with one
+    minor and signs +, -, ...: exactly that product once for odd r, else 0.
+
     The result is shared by every caller and must not be mutated.
     """
     h = len(parts)
@@ -131,14 +136,15 @@ def _qtilde(parts: tuple, bound) -> SymPoly:
         return _pair(parts[0], parts[1], bound)
     idx = parts if h % 2 == 0 else parts + (0,)
     first, rest = idx[0], idx[1:]
-    total = SymPoly.zero()
-    for pos, q in enumerate(rest):
+    r = rest.count(first)
+    terms = []
+    for pos in range(r - 1 if r % 2 else r, len(rest)):
         minor = rest[:pos] + rest[pos + 1:]
         if minor[-1] == 0:
             minor = minor[:-1]
-        term = _pair(first, q, bound) * _qtilde(minor, bound)
-        total = total + term if pos % 2 == 0 else total - term
-    return total
+        terms.append((-1 if pos % 2 else 1, _pair(first, rest[pos], bound),
+                      _qtilde(minor, bound)))
+    return SymPoly.zero()._sum_of_products(terms)
 
 
 def _pair(i: int, j: int, bound) -> SymPoly:

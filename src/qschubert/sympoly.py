@@ -2,10 +2,12 @@
 
 Combination is the one sparse combination type of the package: a dict
 from basis keys to nonzero coefficients with sum, difference, negation,
-integer scaling, rendering and, for ring types, the product of two
-combinations and powers.  A subclass states only its key rules: how a
-key is checked, ordered and rendered, and for a ring how two keys
-multiply.  Its subclasses here are
+integer scaling, rendering and, for ring types, products and powers.
+Every product goes through one multiply-accumulate kernel, which sums
+c*a*b over a list of (c, a, b) into one dict: a * b is its one-term
+case.  A subclass states only its key rules: how a key is checked,
+ordered and rendered, and for a ring how two keys multiply.  Its
+subclasses here are
 
   SymPoly   the ring Z[c1, c2, ...] with deg(ci) = i.  A monomial is
             keyed by the weakly decreasing tuple of its generator
@@ -41,6 +43,7 @@ class Combination:
     of the product of two basis elements), ``_coerce`` (what else may
     stand beside them in +, - and ==) and, where 1 does not coerce,
     ``_unit``; types with more state override ``_like`` to carry it.
+    ``_sum_of_products`` is the one product path, a * b its one-term case.
     """
 
     __slots__ = ("coeffs",)
@@ -117,19 +120,24 @@ class Combination:
         other = self._coerce(other)
         if other is NotImplemented or self._merge is None:
             return NotImplemented
-        merge = self._merge
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = merge(k1, k2)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return self._like(out)
+        return self._sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
+
+    def _sum_of_products(self, triples):
+        """Sum c * a * b over (c, a, b) in triples, c an int and a, b of
+        self's type, into one dict; zeros are dropped once, at the end."""
+        merge = self._merge
+        out = {}
+        get = out.get
+        for c, a, b in triples:
+            right = b.coeffs.items()
+            for k1, v1 in a.coeffs.items():
+                cv = c * v1
+                for k2, v2 in right:
+                    k = merge(k1, k2)
+                    out[k] = get(k, 0) + cv * v2
+        return self._like({k: v for k, v in out.items() if v})
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -411,20 +419,15 @@ def chern_difference(bound: int) -> ChernSeries:
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
     c = [SymPoly.gen(k) for k in range(bound + 1)]
-    dual = [c[k] * (-1) ** k for k in range(bound + 1)]
+    zero = SymPoly.zero()
+    # c(E*) has entries (-1)^k * ck, so inv[d] = -sum (-1)^k * ck * inv[d-k]
     inv = [SymPoly.one()]
     for d in range(1, bound + 1):
-        acc = SymPoly.zero()
-        for k in range(1, d + 1):
-            acc = acc + dual[k] * inv[d - k]
-        inv.append(-acc)
-    diff = []
-    for d in range(bound + 1):
-        acc = SymPoly.zero()
-        for a in range(d + 1):
-            acc = acc + c[a] * inv[d - a]
-        diff.append(acc)
-    return ChernSeries(diff)
+        inv.append(zero._sum_of_products(
+            [((-1) ** (k + 1), c[k], inv[d - k]) for k in range(1, d + 1)]))
+    return ChernSeries(
+        zero._sum_of_products([(1, c[a], inv[d - a]) for a in range(d + 1)])
+        for d in range(bound + 1))
 
 
 def subst(p: SymPoly, series: ChernSeries) -> SymPoly:
@@ -433,10 +436,11 @@ def subst(p: SymPoly, series: ChernSeries) -> SymPoly:
         raise ValueError(
             f"series truncated at degree {series.bound}, need {p.degree()}"
         )
-    total = SymPoly.zero()
+    triples = []
     for key, coeff in p.coeffs.items():
-        term = SymPoly.const(coeff)
-        for part in key:
-            term = term * series[part]
-        total = total + term
-    return total
+        *head, last = key or (0,)  # series[0] = 1 stands in for the constant term
+        factor = SymPoly.one()
+        for part in head:
+            factor = factor * series[part]
+        triples.append((coeff, factor, series[last]))
+    return SymPoly.zero()._sum_of_products(triples)

@@ -12,7 +12,10 @@ constructors: `pfaffian_qtilde` builds Q[I] through the package's own
 and the `*_transition_matrix` builders and the pivot-table solve
 (`oracle_expand`, `oracle_module_expand`) assemble their columns from
 `qtilde` and `qtilde_pair`: they are the reference for the Pieri-rule
-expansions of `basisconv`.
+expansions of `basisconv`.  `loop_sum_of_products` keeps the product
+loop the ring types had before their shared multiply-accumulate kernel,
+one dict per product and then one sum per term, over the types' own
+key rules: it is the reference for `Combination._sum_of_products`.
 """
 
 from fractions import Fraction
@@ -346,6 +349,32 @@ def pfaffian_qtilde(parts):
     upper = {(p, q): qtilde_pair(idx[p], idx[q])
              for p in range(len(idx)) for q in range(p + 1, len(idx))}
     return pfaffian(SkewMatrix(len(idx), upper))
+
+
+# ---- the product loop before the multiply-accumulate kernel ----------------
+
+def loop_product(a, b):
+    """a * b for combinations of one ring type, deleting a key at 0."""
+    merge = a._merge
+    out = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            k = merge(k1, k2)
+            # a TPoly coefficient is a SymPoly: multiply it by this loop too
+            s = out.get(k, 0) + (v1 * v2 if isinstance(v1, int) else loop_product(v1, v2))
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return a._like(out)
+
+
+def loop_sum_of_products(zero, triples):
+    """zero + the sum of c * a * b, one product and one sum per triple."""
+    total = zero
+    for c, a, b in triples:
+        total = total + loop_product(a, b) * c
+    return total
 
 
 def xp_of(xpoly):

@@ -136,6 +136,20 @@ def test_qtilde_recursion_matches_pfaffian():
     assert _qtilde.cache_info().misses == misses
 
 
+def test_repeated_parts_have_closed_forms():
+    # Q[i^(2m)] = Q[i,i]^m and Q[i^(2m+1)] = ci * Q[i,i]^m: the Pfaffian of
+    # a matrix whose upper entries all equal Q[i,i] is its m-th power, a
+    # second path that does not go through the first-row loop
+    for i in range(1, 5):
+        power = SymPoly.one()
+        for m in range(7):
+            assert qtilde((i,) * (2 * m)) == power, (i, m)
+            assert qtilde((i,) * (2 * m + 1)) == qtilde_one(i) * power, (i, m)
+            power = power * qtilde_pair(i, i)
+    # equal leading parts leave one minor per level, so 600 parts finish
+    assert qtilde((1,) * 600) == (c1 ** 2 - 2 * c2) ** 300
+
+
 def test_bounded_builder_is_the_truncation():
     # ci -> 0 for i > b is a ring map, so truncating the two-row entries
     # inside the recursion gives the truncation of the whole Q[I]

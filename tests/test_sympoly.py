@@ -3,7 +3,16 @@ from itertools import permutations
 
 import pytest
 
-from helpers import elem_x, rand_sympoly, xp_add, xp_mul, xp_of
+from helpers import (
+    elem_x,
+    loop_product,
+    loop_sum_of_products,
+    rand_sympoly,
+    xp_add,
+    xp_mul,
+    xp_of,
+)
+from qschubert.exprio import TPoly
 from qschubert.sympoly import (
     ChernSeries,
     SymPoly,
@@ -147,6 +156,38 @@ def test_xpoly_basics():
         a + other
     with pytest.raises(ValueError):
         a * other
+
+
+def stores_no_zero(p):
+    return all(v and (isinstance(v, int) or stores_no_zero(v)) for v in p.coeffs.values())
+
+
+def test_sum_of_products_matches_the_product_loop():
+    rng = random.Random(20)
+
+    def xpoly():
+        return XPoly(3, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-9, 9)
+                         for _ in range(rng.randint(0, 5))})
+
+    def tpoly():
+        return TPoly({rng.randint(0, 3): rand_sympoly(rng, 4, 3, 3)
+                      for _ in range(rng.randint(0, 3))})
+
+    kinds = [(SymPoly.zero(), lambda: rand_sympoly(rng, 6, 4, rng.randint(0, 5))),
+             (XPoly.zero(3), xpoly), (TPoly(), tpoly)]
+    for zero, make in kinds:
+        for _ in range(60):
+            triples = [(rng.randint(-3, 3), make(), make()) for _ in range(rng.randint(0, 4))]
+            got = zero._sum_of_products(triples)
+            assert got == loop_sum_of_products(zero, triples)
+            assert stores_no_zero(got)
+            # each triple against its mirror with the opposite sign: exactly 0
+            mirrored = triples + [(-c, b, a) for c, a, b in triples]
+            assert zero._sum_of_products(mirrored).coeffs == {}
+            for _, a, b in triples:  # a product is the kernel's one-triple case
+                assert a * b == loop_product(a, b) and stores_no_zero(a * b)
+    with pytest.raises(ValueError):
+        XPoly(2, {(1, 0): 1}) * XPoly(3, {(0, 0, 1): 1})
 
 
 def test_xpoly_drop_last_var():
