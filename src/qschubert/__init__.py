@@ -5,13 +5,7 @@ Everything is computed over the integers with no floating point and no
 external dependencies.
 """
 
-from .basisconv import (
-    BasisError,
-    ModuleExpansion,
-    QExpansion,
-    expand_in_qtilde,
-    module_expand,
-)
+from .basisconv import ModuleExpansion, QExpansion, expand_in_qtilde, module_expand
 from .exprio import ExprError, TPoly, elaborate, in_qtilde_basis, parse
 from .partitions import (
     complement,
@@ -22,7 +16,7 @@ from .partitions import (
     partition,
     weight,
 )
-from .qtilde import SkewMatrix, pfaffian, qtilde, qtilde_one, qtilde_pair, schur_q
+from .qtilde import qtilde, qtilde_one, qtilde_pair, schur_q
 from .schubert import (
     LGRing,
     SchubertClass,
@@ -48,14 +42,12 @@ from .thomtables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisError",
     "ChernSeries",
     "ExprError",
     "LGRing",
     "ModuleExpansion",
     "QExpansion",
     "SchubertClass",
-    "SkewMatrix",
     "SymPoly",
     "TExpansion",
     "ThomRecord",
@@ -82,7 +74,6 @@ __all__ = [
     "parse",
     "parse_partition",
     "partition",
-    "pfaffian",
     "positivity_check",
     "qtilde",
     "qtilde_one",

@@ -13,20 +13,14 @@ No Q[I] is built and nothing is solved.  Q[J u mu u mu] equals
 (prod_k Q[m_k, m_k]) * Q[J] for J strict, so the free-module expansion
 is the one with parts bounded by n, relabelled by schubert._split.  The
 tests check both against exact substitution in the unitriangular
-transition of each degree.
+transition of each degree; that solve, and the BasisError it raises
+when a claimed basis fails, live in tests/helpers.py.
 """
 
 from .partitions import partition, shown
 from .qtilde import qtilde, qtilde_pair
 from .schubert import _act, _split
 from .sympoly import Combination, SymPoly
-
-
-class BasisError(RuntimeError):
-    """Invariant violation: a claimed basis failed to be one.
-
-    Only the pivot-table check of the test suite raises it now.
-    """
 
 
 def qmono(key):

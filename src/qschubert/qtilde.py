@@ -14,24 +14,34 @@ along its first row,
 
 where a minor that ends in the padding zero is the Q of the same parts
 without it.  Each minor is again a cached Q[I], so all partitions share
-their sub-partitions.  The r entries equal to i_1 lead the row and give
-r copies of one product with signs +, -, +, ..., so they leave it once
-when r is odd and cancel when r is even: the loop starts past them.
+their sub-partitions.  Two equal neighbours i_k = i_(k+1) of the first
+row give the same product with opposite signs, so a run of r equal
+entries leaves one product when r is odd and none when r is even.
 The builder also takes a bound b and then gives Q[I] with ci = 0 for
 i > b, the lift of a Schubert class of LG(b): setting those ci to 0 is
 a ring map, so it truncates the two-row entries before they multiply,
 and Q[I] is 0 outright when i_1 > b.  `qtilde` is the unbounded case.
-`pfaffian` and `SkewMatrix` are the reference implementation that the
-tests compare against.
+
+The minors are built on prime codes, not on SymPoly keys.  The code of
+ci is the i-th prime (c0 = 1 has code 1), and the code of a monomial is
+the product of the codes of its generators.  By unique factorization a
+code names exactly one monomial, and the code of a product of monomials
+is the product of their codes, so one integer multiplication stands for
+merging two sorted key tuples.  A minor is only ever multiplied, never
+shown, so its codes are decoded back into SymPoly keys only when Q[I]
+itself is asked for, and each code is factored once per process.
 
 Schur Q-functions arise from the same family by substituting the Chern
 series of the virtual difference bundle for the generators.
 """
 
 from functools import cache
+from itertools import groupby
+from math import prod
+from operator import mul
 
 from .partitions import partition
-from .sympoly import SymPoly, chern_difference, subst
+from .sympoly import Combination, SymPoly, chern_difference, subst
 
 
 @cache
@@ -53,104 +63,143 @@ def qtilde_pair(i: int, j: int) -> SymPoly:
     return SymPoly.zero()._sum_of_products(terms)
 
 
-class SkewMatrix:
-    """Skew-symmetric matrix of even size, upper triangle stored.
-
-    The diagonal is zero and entries below it are the negatives of their
-    mirror images, so only entries (p, q) with p < q are kept.
-    """
-
-    __slots__ = ("size", "upper")
-
-    def __init__(self, size: int, upper):
-        if size < 0 or size % 2:
-            raise ValueError(f"size must be even and nonnegative, got {size}")
-        entries = dict(upper)
-        for p, q in entries:
-            if not 0 <= p < q < size:
-                raise ValueError(f"entry ({p}, {q}) outside upper triangle")
-        self.size = size
-        self.upper = entries
-
-    def __getitem__(self, key):
-        p, q = key
-        if p < q:
-            return self.upper.get((p, q), 0)
-        if q < p:
-            return -self.upper.get((q, p), 0)
-        return 0
-
-
-def pfaffian(m: SkewMatrix):
-    """Pfaffian by recursive expansion along the first remaining row.
-
-    For indices (r_1, ..., r_h), h even, the expansion is
-    sum over k >= 2 of (-1)^k * m[r_1, r_k] * Pf(rows without r_1, r_k),
-    with Pf of the empty matrix equal to 1.
-    """
-    memo = {}
-
-    def pf(idx):
-        if not idx:
-            return 1
-        if idx in memo:
-            return memo[idx]
-        first, rest = idx[0], idx[1:]
-        total = 0
-        for pos, q in enumerate(rest):
-            term = m[first, q] * pf(rest[:pos] + rest[pos + 1:])
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[idx] = total
-        return total
-
-    return pf(tuple(range(m.size)))
-
-
 def qtilde(parts) -> SymPoly:
     """Q[I] for an arbitrary partition I, strict or not."""
     return _qtilde(partition(parts), None)
 
 
+class _Codes(Combination):
+    """A polynomial in c1, c2, ... keyed by the prime code of each monomial."""
+
+    __slots__ = ()
+
+    _merge = staticmethod(mul)
+
+
+_PRIMES = [1]  # _PRIMES[i] is the code of ci
+
+
+def _code(key) -> int:
+    """The prime code of a SymPoly key."""
+    top = key[0] if key else 0
+    p = _PRIMES[-1]
+    while len(_PRIMES) <= top:
+        p += 1
+        if all(p % q for q in _PRIMES[1:]):
+            _PRIMES.append(p)
+    return prod(_PRIMES[i] for i in key)
+
+
 @cache
-def _qtilde(parts: tuple, bound) -> SymPoly:
-    """Q[parts] with ci = 0 for i > bound (None means no bound).
+def _key(code: int) -> tuple:
+    """The SymPoly key of a prime code, by trial division.
+
+    Every code is a product of primes already in _PRIMES, so the loop
+    stops inside the list.  Each division takes out the largest
+    p^(2^t) that divides, so c1^1000 takes 6 divisions, not 1,000.
+    Keys are shared by every Q[I] that has the monomial, so none may be
+    mutated.
+    """
+    key = []
+    i = 0
+    while code > 1:
+        i += 1
+        p = _PRIMES[i]
+        while not code % p:
+            q, e = p, 1
+            while not code % (q * q):
+                q, e = q * q, e + e
+            code //= q
+            key += [i] * e
+    key.reverse()
+    return tuple(key)
+
+
+@cache
+def _pair_codes(i: int, j: int, bound) -> _Codes:
+    """Q[i, j] with c_r = 0 for r > bound (None means no bound), on codes."""
+    q = qtilde_pair(i, j) if bound is None else qtilde_pair(i, j).truncate_parts(bound)
+    return _Codes._like({_code(k): v for k, v in q.coeffs.items()})
+
+
+def _first_row(parts: tuple, bound) -> list:
+    """(sign, Q[i_1, i_k], minor) on codes for each term of the first-row
+    expansion of Q[parts] with ci = 0 for i > bound that does not cancel;
+    empty for fewer than three parts, and when parts[0] > bound, since
+    Q[parts] is then 0.
+
+    Equal entries i_k = i_(k+1) have the same minor and opposite signs,
+    so a run of r equal entries leaves its last term when r is odd and
+    nothing when r is even.
+    """
+    h = len(parts)
+    if h < 3 or bound is not None and parts[0] > bound:
+        return []
+    idx = parts if h % 2 == 0 else parts + (0,)
+    first, rest = idx[0], idx[1:]
+    row = []
+    pos = -1
+    for part, run in groupby(rest):
+        r = len(tuple(run))
+        pos += r
+        if r % 2:
+            minor = rest[:pos] + rest[pos + 1:]
+            if minor[-1] == 0:
+                minor = minor[:-1]
+            row.append((-1 if pos % 2 else 1, _pair_codes(first, part, bound), minor))
+    return row
+
+
+_CODES = {}  # (parts, bound) -> _Codes of every Q[parts] built, minors included
+
+
+def _codes(parts: tuple, bound) -> _Codes:
+    """Q[parts] with ci = 0 for i > bound (None means no bound), on codes.
 
     parts is a canonical partition.  Q[parts] is 0 when parts[0] > bound,
     since every entry Q[i_1, i_k] of the first row has a factor c_(i_1+p)
     with p >= 0 in each term.  Otherwise the two-row entries are truncated
     before they multiply, because truncation is a ring map.
 
-    The entries k = 2..r+1 with i_k = i_1 are all Q[i_1, i_1], with one
-    minor and signs +, -, ...: exactly that product once for odd r, else 0.
+    Every minor is kept in _CODES.  The minors not there yet are found
+    from an explicit stack and built shortest first, so each build finds
+    its own minors built and the stack depth does not grow with the
+    length of parts.  Products of codes are exact: a code factors into
+    the codes of its generators in one way only, so two monomials share
+    a code exactly when they are equal.
 
     The result is shared by every caller and must not be mutated.
     """
-    h = len(parts)
-    if h == 0:
-        return SymPoly.one()
-    if bound is not None and parts[0] > bound:
-        return SymPoly.zero()
-    if h == 1:
-        return qtilde_one(parts[0])
-    if h == 2:
-        return _pair(parts[0], parts[1], bound)
-    idx = parts if h % 2 == 0 else parts + (0,)
-    first, rest = idx[0], idx[1:]
-    r = rest.count(first)
-    terms = []
-    for pos in range(r - 1 if r % 2 else r, len(rest)):
-        minor = rest[:pos] + rest[pos + 1:]
-        if minor[-1] == 0:
-            minor = minor[:-1]
-        terms.append((-1 if pos % 2 else 1, _pair(first, rest[pos], bound),
-                      _qtilde(minor, bound)))
-    return SymPoly.zero()._sum_of_products(terms)
+    memo = _CODES
+    if (parts, bound) not in memo:
+        rows = {parts: _first_row(parts, bound)}
+        stack = [parts]
+        while stack:
+            for _, _, minor in rows[stack.pop()]:
+                if minor not in rows and (minor, bound) not in memo:
+                    rows[minor] = _first_row(minor, bound)
+                    stack.append(minor)
+        for p in sorted(rows, key=len):
+            if len(p) < 3:
+                # Q[] = Q[0, 0] = 1 and Q[i] = Q[i, 0]
+                memo[p, bound] = _pair_codes(*(p + (0, 0))[:2], bound)
+            else:
+                memo[p, bound] = _Codes._like({})._sum_of_products(
+                    [(sign, pair, memo[minor, bound]) for sign, pair, minor in rows[p]])
+    return memo[parts, bound]
 
 
-def _pair(i: int, j: int, bound) -> SymPoly:
-    """Q[i, j] with c_r = 0 for r > bound (None means no bound)."""
-    q = qtilde_pair(i, j)
-    return q if bound is None or i + j <= bound else q.truncate_parts(bound)
+@cache
+def _qtilde(parts: tuple, bound) -> SymPoly:
+    """Q[parts] with ci = 0 for i > bound (None means no bound).
+
+    The codes of _codes(parts, bound) are decoded here, through the
+    process-wide memo _key, so a minor that no caller asks for is never
+    decoded and a monomial shared by many Q[I] is factored once.
+
+    The result is shared by every caller and must not be mutated.
+    """
+    return SymPoly._like({_key(c): v for c, v in _codes(parts, bound).coeffs.items()})
 
 
 def schur_q(parts) -> SymPoly:

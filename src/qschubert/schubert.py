@@ -30,16 +30,16 @@ Q builder): the ring is commutative, so the factor whose truncated
 lift has fewer terms is lifted and acts on the other.  A product whose
 degree |I| + |J| passes dim LG(n) is 0 before any lift is built.
 Products are memoized by _product on the (key, coeff) pairs of both
-factors, so a repeated product is one lookup; like every value of
-_pieri and _qtilde, a cached product is shared and never mutated, and
-multiply hands out a copy.
+factors, in either order, so a repeated product is one lookup; like
+every value of _pieri and _qtilde, a cached product is shared and never
+mutated, and multiply hands out a copy.
 """
 
 from functools import cache
 from itertools import groupby
 
 from .partitions import complement, partition, shown
-from .qtilde import _qtilde, qtilde
+from .qtilde import _codes, _qtilde, qtilde
 from .sympoly import Combination, SymPoly
 
 
@@ -251,16 +251,19 @@ def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     fewer terms is lifted: each coeff * Q[I] with ci = 0 for i > n,
     term by term, acts on the other factor.  The product is 0 at once
     when every pair of keys has |I| + |J| > dim LG(n).  The product is
-    memoized by _product on the (key, coeff) pairs of both factors, so
-    repeating it, whatever order the terms of a factor were added in,
-    is one lookup and a copy: the result owns its dict, and the cached
-    one is never mutated.  The tests check it against reducing the
-    product of both lifts through the free-module expansion.
+    memoized by _product on the (key, coeff) pairs of both factors, taken
+    in an order fixed by their hashes, so repeating it, in either order
+    of the factors and whatever order the terms of a factor were added
+    in, is one lookup and a copy: the result owns its dict, and the
+    cached one is never mutated.  The tests check it against reducing
+    the product of both lifts through the free-module expansion.
     """
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
-    return a._like(dict(_product(frozenset(a.coeffs.items()),
-                                 frozenset(b.coeffs.items()), a.ring.n)))
+    fa, fb = frozenset(a.coeffs.items()), frozenset(b.coeffs.items())
+    if hash(fb) < hash(fa):
+        fa, fb = fb, fa  # a * b and b * a share one memo entry
+    return a._like(dict(_product(fa, fb, a.ring.n)))
 
 
 @cache
@@ -281,8 +284,9 @@ def _product(a: frozenset, b: frozenset, n: int) -> dict:
 
 
 def _lift_size(terms, n: int) -> int:
-    """Number of terms the truncated lifts of the keys of terms have."""
-    return sum(len(_qtilde(key, n).coeffs) for key, _ in terms)
+    """Number of terms the truncated lifts of the keys of terms have,
+    counted on their codes, so only the lift _product uses is decoded."""
+    return sum(len(_codes(key, n).coeffs) for key, _ in terms)
 
 
 def integrate(a: SchubertClass) -> int:

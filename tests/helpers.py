@@ -2,25 +2,30 @@
 
 Everything here is implemented independently of the package internals:
 determinants use rational Gaussian elimination or fraction-free
-(Bareiss) elimination, Pfaffians use explicit
-perfect-matching sums with permutation-parity signs, and symmetric
-functions are expanded in raw exponent dictionaries with local
-arithmetic helpers.  Agreement between these oracles and the package is
-what the tests assert.  Two exceptions use the package's public
-constructors: `pfaffian_qtilde` builds Q[I] through the package's own
-`pfaffian` as the reference for the recursive construction in `qtilde`,
-and the `*_transition_matrix` builders and the pivot-table solve
-(`oracle_expand`, `oracle_module_expand`) assemble their columns from
-`qtilde` and `qtilde_pair`: they are the reference for the Pieri-rule
-expansions of `basisconv`.  `loop_sum_of_products` keeps the product
-loop the ring types had before their shared multiply-accumulate kernel,
-one dict per product and then one sum per term, over the types' own
-key rules: it is the reference for `Combination._sum_of_products`.
+(Bareiss) elimination, Pfaffians use explicit perfect-matching sums with
+permutation-parity signs or, in `pfaffian` over a `SkewMatrix` of any
+ring values, expansion along the first row, and symmetric functions are
+expanded in raw exponent dictionaries with local arithmetic helpers.
+Agreement between these oracles and the package is what the tests
+assert.  Two exceptions use the package's public constructors:
+`pfaffian_qtilde` builds Q[I] by `pfaffian` from the package's
+`qtilde_pair` as the reference for the minor-sharing builder in
+`qtilde`, and the `*_transition_matrix` builders and the pivot-table
+solve (`oracle_expand`, `oracle_module_expand`) assemble their columns
+from `qtilde` and `qtilde_pair`: they are the reference for the
+Pieri-rule expansions of `basisconv`.  `loop_sum_of_products` keeps the
+product loop the ring types had before their shared multiply-accumulate
+kernel, one dict per product and then one sum per term, over the types'
+own key rules: it is the reference for `Combination._sum_of_products`.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+
+
+class BasisError(RuntimeError):
+    """Invariant violation: a claimed basis failed to be one."""
 
 
 def fraction_det(matrix):
@@ -144,8 +149,6 @@ def pivot_table(keys, element, bound, rows, what):
     no zero column, unit pivots, no shared pivot, as many columns as
     rows.  A failed check raises BasisError.
     """
-    from qschubert.basisconv import BasisError
-
     if len(keys) != rows:
         raise BasisError(f"{what}: index sets differ in size ({len(keys)} vs {rows})")
     table = {}
@@ -186,8 +189,6 @@ def module_pivots(d, n):
 
 def substitute(pivots, comp, what):
     """Solve by eliminating the lex-smallest monomial left, pivot by pivot."""
-    from qschubert.basisconv import BasisError
-
     residual = dict(comp.terms)
     out = {}
     for pivot, key, col in pivots:
@@ -341,9 +342,62 @@ def oracle_qtilde(parts, n):
     return total
 
 
+class SkewMatrix:
+    """Skew-symmetric matrix of even size, upper triangle stored.
+
+    The diagonal is zero and entries below it are the negatives of their
+    mirror images, so only entries (p, q) with p < q are kept.
+    """
+
+    __slots__ = ("size", "upper")
+
+    def __init__(self, size: int, upper):
+        if size < 0 or size % 2:
+            raise ValueError(f"size must be even and nonnegative, got {size}")
+        entries = dict(upper)
+        for p, q in entries:
+            if not 0 <= p < q < size:
+                raise ValueError(f"entry ({p}, {q}) outside upper triangle")
+        self.size = size
+        self.upper = entries
+
+    def __getitem__(self, key):
+        p, q = key
+        if p < q:
+            return self.upper.get((p, q), 0)
+        if q < p:
+            return -self.upper.get((q, p), 0)
+        return 0
+
+
+def pfaffian(m: SkewMatrix):
+    """Pfaffian by recursive expansion along the first remaining row.
+
+    For indices (r_1, ..., r_h), h even, the expansion is
+    sum over k >= 2 of (-1)^k * m[r_1, r_k] * Pf(rows without r_1, r_k),
+    with Pf of the empty matrix equal to 1.
+    """
+    memo = {}
+
+    def pf(idx):
+        if not idx:
+            return 1
+        if idx in memo:
+            return memo[idx]
+        first, rest = idx[0], idx[1:]
+        total = 0
+        for pos, q in enumerate(rest):
+            term = m[first, q] * pf(rest[:pos] + rest[pos + 1:])
+            total = total + (term if pos % 2 == 0 else -term)
+        memo[idx] = total
+        return total
+
+    return pf(tuple(range(m.size)))
+
+
 def pfaffian_qtilde(parts):
     """Q[I] as the Pfaffian of the two-row values, odd I padded with 0."""
-    from qschubert.qtilde import SkewMatrix, pfaffian, qtilde_pair
+    from qschubert.qtilde import qtilde_pair
 
     idx = tuple(parts) if len(parts) % 2 == 0 else tuple(parts) + (0,)
     upper = {(p, q): qtilde_pair(idx[p], idx[q])

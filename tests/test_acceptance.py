@@ -9,12 +9,14 @@ import json
 import random
 
 from helpers import (
+    SkewMatrix,
     additive_transition_matrix,
     bareiss_det,
     elem_x_squares,
     fraction_det,
     module_transition_matrix,
     oracle_qtilde,
+    pfaffian,
     rand_skew,
     rand_sympoly,
     xp_of,
@@ -23,7 +25,7 @@ from qschubert.basisconv import expand_in_qtilde, module_expand
 from qschubert.cli import main
 from qschubert.exprio import ExprError, elaborate, in_qtilde_basis, parse
 from qschubert.partitions import complement, enumerate_partitions
-from qschubert.qtilde import SkewMatrix, pfaffian, qtilde, qtilde_pair, schur_q
+from qschubert.qtilde import qtilde, qtilde_pair, schur_q
 from qschubert.schubert import LGRing, betti, integrate, multiply, omega, pair, reduce
 from qschubert.sympoly import SymPoly, evaluate
 from qschubert.thomtables import TExpansion, builtin_records, verify_record

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    BasisError,
     additive_pivots,
     additive_transition_matrix,
     bareiss_det,
@@ -15,13 +16,7 @@ from helpers import (
     rand_sympoly,
     substitute,
 )
-from qschubert.basisconv import (
-    BasisError,
-    ModuleExpansion,
-    QExpansion,
-    expand_in_qtilde,
-    module_expand,
-)
+from qschubert.basisconv import ModuleExpansion, QExpansion, expand_in_qtilde, module_expand
 from qschubert.partitions import enumerate_partitions
 from qschubert.qtilde import qtilde, qtilde_pair
 from qschubert.schubert import _pieri

@@ -1,20 +1,23 @@
 import random
+from math import comb
 
 import pytest
 
 from helpers import (
+    SkewMatrix,
     elem_x_squares,
     fraction_det,
     oracle_qtilde,
+    pfaffian,
     pfaffian_qtilde,
     rand_skew,
     xp_of,
 )
 from qschubert.partitions import enumerate_partitions
 from qschubert.qtilde import (
-    SkewMatrix,
+    _CODES,
+    _codes,
     _qtilde,
-    pfaffian,
     qtilde,
     qtilde_one,
     qtilde_pair,
@@ -125,15 +128,17 @@ def test_qtilde_recursion_matches_pfaffian():
         assert qtilde(parts) == pfaffian_qtilde(parts), parts
         count += 1
     assert count == 915
-    # the recursion shares minors through the cache: building (1^16)
-    # stores exactly (1^16), (1^14), ..., (1, 1) and nothing else
+    # the builder shares minors through _CODES: building (1^16) stores
+    # exactly (1^16), (1^14), ..., (1, 1) and nothing else, and asking
+    # for any of them again rebuilds nothing
+    _CODES.clear()
     _qtilde.cache_clear()
     qtilde((1,) * 16)
-    assert _qtilde.cache_info().currsize == 8
-    misses = _qtilde.cache_info().misses
+    built = dict(_CODES)
+    assert sorted(built) == [((1,) * k, None) for k in range(2, 17, 2)]
     for k in range(2, 17, 2):
-        _qtilde((1,) * k, None)
-    assert _qtilde.cache_info().misses == misses
+        assert _codes((1,) * k, None) is built[(1,) * k, None]
+    assert _CODES == built
 
 
 def test_repeated_parts_have_closed_forms():
@@ -148,6 +153,15 @@ def test_repeated_parts_have_closed_forms():
             power = power * qtilde_pair(i, i)
     # equal leading parts leave one minor per level, so 600 parts finish
     assert qtilde((1,) * 600) == (c1 ** 2 - 2 * c2) ** 300
+
+
+def test_long_partitions_answer_exactly():
+    # the minors are built from a worklist, not by recursion, so the
+    # length of I is not bounded by the interpreter's stack; Q[1^1200]
+    # is (c1^2 - 2*c2)^600, written out by the binomial theorem
+    expect = SymPoly({(2,) * k + (1,) * (1200 - 2 * k): comb(600, k) * (-2) ** k
+                      for k in range(601)})
+    assert qtilde((1,) * 1200) == expect
 
 
 def test_bounded_builder_is_the_truncation():

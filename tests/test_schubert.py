@@ -7,7 +7,7 @@ import pytest
 from helpers import pfaffian_qtilde, rand_sympoly
 from qschubert.basisconv import QExpansion, expand_in_qtilde, module_expand
 from qschubert.partitions import complement, enumerate_partitions
-from qschubert.qtilde import _qtilde, qtilde, qtilde_pair
+from qschubert.qtilde import _CODES, _qtilde, qtilde, qtilde_pair
 from qschubert.schubert import (
     LGRing,
     SchubertClass,
@@ -168,28 +168,41 @@ def test_a_repeated_product_is_a_lookup_and_a_copy():
 
 
 def test_structure_constants_are_nonnegative():
-    """Every Schubert structure constant of LG(n), n <= 8, is >= 0.
+    """Every Schubert structure constant of LG(n), n <= 8, is >= 0, and
+    so is every one of the odd orthogonal Grassmannian OG(n, 2n+1).
 
     LG(n) is homogeneous under Sp(2n), so by Kleiman transversality
     general translates of Schubert varieties meet properly, and the
     coefficient of S[K] in S[I] * S[J] counts the points of a
-    transverse triple intersection: it cannot be negative.
+    transverse triple intersection: it cannot be negative.  The
+    Schubert classes of OG(n, 2n+1) lift to P[I] = 2^(-len(I)) * Q[I]
+    (Pragacz, LNM 1478, 1991), so that coefficient times
+    2^(len(K) - len(I) - len(J)) is a structure constant of OG(n, 2n+1)
+    and must be a nonnegative integer too.
     """
     for n in range(1, 9):
         ring = LGRing(n)
         keys = [k for d in range(ring.dim + 1)
                 for k in enumerate_partitions(d, max_part=n, strict=True)]
         classes = [omega(k, ring) for k in keys]
-        count = 0
+        count = constants = 0
         for x, (i, a) in enumerate(zip(keys, classes)):
             for j, b in zip(keys[x:], classes[x:]):
                 if sum(i) + sum(j) > ring.dim:
                     break  # keys run by ascending weight
                 ab = multiply(a, b)
-                assert ab == multiply(b, a), (n, i, j)
+                # multiply(b, a) is the memo entry of ab; the uncached
+                # product in the other order is a fresh computation
+                assert ab.coeffs == _product.__wrapped__(
+                    frozenset(b.coeffs.items()), frozenset(a.coeffs.items()), n), (n, i, j)
                 assert all(c > 0 for c in ab.coeffs.values()), (n, i, j, ab)
+                for k, c in ab.coeffs.items():
+                    shift = len(i) + len(j) - len(k)
+                    assert shift <= 0 or c % (1 << shift) == 0, (n, i, j, k, c)
+                constants += len(ab.coeffs) * (1 if i == j else 2)
                 count += 1
     assert count == 17082  # the products of LG(8)
+    assert constants == 105736  # its nonzero constants, over ordered (I, J)
 
 
 def test_top_products_give_the_point_class():
@@ -222,12 +235,12 @@ def test_random_pairings_follow_the_complement_rule():
 def test_products_past_the_top_degree_are_zero_at_once():
     ring = LGRing(20)
     top = omega(ring.top, ring)
-    misses = _qtilde.cache_info().misses
+    misses, minors = _qtilde.cache_info().misses, len(_CODES)
     # building the lift of a top class of LG(20) alone takes seconds, so
     # the answer must come before any lift
     assert multiply(top, top) == 0
     assert multiply(top, SchubertClass(ring, {(1,): 2, (20, 1): -1})) == 0
-    assert _qtilde.cache_info().misses == misses
+    assert (_qtilde.cache_info().misses, len(_CODES)) == (misses, minors)
     assert multiply(SchubertClass(ring), top) == 0
 
 
@@ -372,7 +385,9 @@ def test_no_cached_pieri_value_is_mutated():
         for _ in range(6):
             a, b = strict_classes(ring, rng, 3), strict_classes(ring, rng, 3)
             multiply(a, b)
-            products.add((frozenset(a.coeffs.items()), frozenset(b.coeffs.items()), n))
+            # multiply keys a product on its factors in the order of their hashes
+            pair = sorted((frozenset(a.coeffs.items()), frozenset(b.coeffs.items())), key=hash)
+            products.add((*pair, n))
         reduce(q321 * c[1] ** 2 + c[5] * c[4] - 3 * c[2] ** 3, ring)
     # expansions act to degree top with parts <= bound; products and
     # reduce act ci with i <= n on every class of LG(n)
