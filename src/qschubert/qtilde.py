@@ -37,7 +37,6 @@ series of the virtual difference bundle for the generators.
 
 from functools import cache
 from itertools import groupby
-from math import prod
 from operator import mul
 
 from .partitions import partition
@@ -57,10 +56,16 @@ def qtilde_pair(i: int, j: int) -> SymPoly:
     """Two-row case for i >= j >= 0."""
     if j < 0 or i < j:
         raise ValueError(f"indices must satisfy i >= j >= 0, got ({i}, {j})")
-    terms = [(1, qtilde_one(i), qtilde_one(j))]
+    return SymPoly.zero()._sum_of_products(
+        [(c, qtilde_one(a), qtilde_one(b)) for c, a, b in _pair_terms(i, j)])
+
+
+def _pair_terms(i: int, j: int):
+    """(coeff, a, b) for each term coeff * ca * cb of Q[i, j]: the terms
+    p = 0..j of the two-row formula, with a = i + p and b = j - p."""
+    yield 1, i, j
     for p in range(1, j + 1):
-        terms.append((-2 if p % 2 else 2, qtilde_one(i + p), qtilde_one(j - p)))
-    return SymPoly.zero()._sum_of_products(terms)
+        yield -2 if p % 2 else 2, i + p, j - p
 
 
 def qtilde(parts) -> SymPoly:
@@ -79,15 +84,14 @@ class _Codes(Combination):
 _PRIMES = [1]  # _PRIMES[i] is the code of ci
 
 
-def _code(key) -> int:
-    """The prime code of a SymPoly key."""
-    top = key[0] if key else 0
+def _primes(top: int) -> list:
+    """_PRIMES, extended to hold the code of c_top."""
     p = _PRIMES[-1]
     while len(_PRIMES) <= top:
         p += 1
         if all(p % q for q in _PRIMES[1:]):
             _PRIMES.append(p)
-    return prod(_PRIMES[i] for i in key)
+    return _PRIMES
 
 
 @cache
@@ -95,16 +99,24 @@ def _key(code: int) -> tuple:
     """The SymPoly key of a prime code, by trial division.
 
     Every code is a product of primes already in _PRIMES, so the loop
-    stops inside the list.  Each division takes out the largest
-    p^(2^t) that divides, so c1^1000 takes 6 divisions, not 1,000.
-    Keys are shared by every Q[I] that has the monomial, so none may be
-    mutated.
+    stops inside the list.  c1 has code 2, so its exponent is the number
+    of trailing zero bits.  Any other prime p that divides is taken out
+    once, and then each division takes out the largest p^(2^t) that
+    divides, so c2^1000 takes 9 divisions, not 1,000, and a generator
+    that occurs once costs one division.  Keys are shared by every Q[I]
+    that has the monomial, so none may be mutated.
     """
-    key = []
-    i = 0
+    e = (code & -code).bit_length() - 1
+    code >>= e
+    key = [1] * e
+    i = 1
     while code > 1:
         i += 1
         p = _PRIMES[i]
+        if code % p:
+            continue
+        code //= p
+        key.append(i)
         while not code % p:
             q, e = p, 1
             while not code % (q * q):
@@ -117,9 +129,15 @@ def _key(code: int) -> tuple:
 
 @cache
 def _pair_codes(i: int, j: int, bound) -> _Codes:
-    """Q[i, j] with c_r = 0 for r > bound (None means no bound), on codes."""
-    q = qtilde_pair(i, j) if bound is None else qtilde_pair(i, j).truncate_parts(bound)
-    return _Codes._like({_code(k): v for k, v in q.coeffs.items()})
+    """Q[i, j] with c_r = 0 for r > bound (None means no bound), on codes.
+
+    Built from the two-row formula itself, not from qtilde_pair.  Its
+    terms have distinct a = i + p, so they are distinct monomials and go
+    straight into the dict; b <= a, so a term vanishes when a > bound.
+    """
+    code = _primes(i + j)
+    return _Codes._like({code[a] * code[b]: c for c, a, b in _pair_terms(i, j)
+                         if bound is None or a <= bound})
 
 
 def _first_row(parts: tuple, bound) -> list:
